@@ -8,9 +8,8 @@ Borel and parabolic subgroups.
 """
 
 from .errors import (DecompositionUnavailable, EigenvalueCollision,
-                     FlagComputationError, InconsistentCriteria,
-                     MembershipViolation, NoConvergence, NotInCell,
-                     NotInFibre, NotInTorusSet, NotPositive,
+                     FlagComputationError, MembershipViolation, NoConvergence,
+                     NotInCell, NotInFibre, NotInTorusSet, NotPositive,
                      TotalPositivityError)
 from .exactmat import (GaussFactors, RationalMatrix, colex_subsets,
                        exterior_power, gauss_decompose, minor,

@@ -6,8 +6,9 @@ flag (Borel/parabolic classification, fibre coordinates, cell splits)
 and sample (deterministic test-data generation).
 
 Exit codes are part of the interface so shell harnesses can assert
-outcomes: 0 ok, 1 negative verdict, 2 input error, 3 domain error,
-4 convergence failure.  Every command is deterministic given its full
+outcomes: 0 ok, 1 negative verdict, 2 input error, 3 domain error
+(including float overflow, underflow or division by zero), 4
+convergence failure.  Every command is deterministic given its full
 flag set including --seed; no environment variables are consulted.
 """
 
@@ -23,7 +24,7 @@ from . import theta as theta_mod
 from .errors import (DecompositionUnavailable, EigenvalueCollision,
                      FlagComputationError, MembershipViolation, NoConvergence,
                      NotInCell, NotInFibre, NotInTorusSet, NotPositive)
-from .exactmat import RationalMatrix
+from .exactmat import MAX_DIMENSION, RationalMatrix
 from .flag import (DEFAULT_TOLERANCES, FlagPoint, FloatTolerances, sigma_b,
                    perron_line_check, snap_matrix, split_cell, zeta, zeta_j)
 from .prng import derive_seed
@@ -247,8 +248,8 @@ def cmd_flag(args) -> int:
 
 def cmd_sample(args) -> int:
     n, seed, scale = args.n, args.seed, args.scale
-    if not 2 <= n <= 6:
-        raise ValueError("sampling supports 2 <= n <= 6")
+    if not 2 <= n <= MAX_DIMENSION:
+        raise ValueError(f"sampling supports 2 <= n <= {MAX_DIMENSION}")
     w0 = longest_element(range(1, n), n)
     if args.kind in ("lower", "upper"):
         params = sample_positive(w0, args.kind, seed, scale)
@@ -364,6 +365,9 @@ def main(argv=None) -> int:
     except NoConvergence as exc:
         sys.stderr.write(f"no convergence: {exc}\n")
         return EXIT_NO_CONVERGENCE
+    except ArithmeticError as exc:
+        sys.stderr.write(f"error: {type(exc).__name__}: {exc}\n")
+        return EXIT_DOMAIN
     except (ValueError, KeyError, TypeError, OSError, json.JSONDecodeError) as exc:
         sys.stderr.write(f"input error: {exc}\n")
         return EXIT_INPUT

@@ -69,8 +69,3 @@ class MembershipViolation(TotalPositivityError):
 class FlagComputationError(TotalPositivityError):
     """The float flag pipeline produced an internally inconsistent
     result (bad pivot, failed triangularity or line-agreement check)."""
-
-
-class InconsistentCriteria(RuntimeError):
-    """Two independent membership criteria that must agree did not.
-    Always a bug, never a data condition."""

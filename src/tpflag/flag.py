@@ -28,7 +28,7 @@ from .theta import (SolverConfig, TorusPoint, theta_forward, theta_inverse_numer
                     _float_membership)
 from .totpos import (LusztigParams, evaluate_params, extract_params,
                      is_g_positive, is_totally_positive_unitriangular,
-                     _evaluate_float)
+                     relevant_minor_pairs, _evaluate_float)
 from .weyl import concat_is_reduced, length, longest_element, reduced_word
 
 
@@ -226,7 +226,8 @@ def _zeta_impl(g: RationalMatrix, tol: FloatTolerances):
         raise FlagComputationError(
             f"conjugated matrix is not upper triangular (residue {sub:.3g})")
 
-    ok, witness = _float_membership([list(r) for r in lower], g.n,
+    ok, witness = _float_membership([list(r) for r in lower],
+                                    relevant_minor_pairs(g.n, "lower"),
                                     tol.positivity_margin)
     if not ok:
         raise FlagComputationError("float representative failed the positivity "

@@ -197,16 +197,23 @@ def _conjugated_product_float(u, uprime_inv, coords):
         a[i][i] = 1.0
         for k in range(i):
             a[i][k] = float(u[i][k]) * (prefix[i] / prefix[k])
-    return [[sum(a[i][l] * uprime_inv[l][k] for l in range(n)) for k in range(n)]
-            for i in range(n)]
+    # both factors are unit lower: the product is too, and the terms
+    # outside l = k..i are exact zeros
+    out = [[float(i == k) for k in range(n)] for i in range(n)]
+    for i in range(n):
+        for k in range(i):
+            out[i][k] = sum(a[i][l] * uprime_inv[l][k] for l in range(k, i + 1))
+    return out
 
 
-def _float_membership(m, n, margin) -> tuple:
-    """(ok, witness) for the float minor test on a unit lower matrix."""
-    for rows, cols in relevant_minor_pairs(n, "lower"):
+def _float_membership(m, pairs, margin) -> tuple:
+    """(ok, witness) for the float minor test on a unit lower matrix over
+    ``pairs`` (the lower :func:`relevant_minor_pairs`).  Every minor must
+    exceed ``margin`` and be finite."""
+    for rows, cols in pairs:
         sub = [[m[r - 1][c - 1] for c in cols] for r in rows]
         value = float_det(sub)
-        if value <= margin:
+        if not margin < value < math.inf:
             return False, MinorWitness(rows, cols, value, "must be > 0 (float)")
     return True, None
 
@@ -222,7 +229,8 @@ def torus_set_membership(u: RationalMatrix, uprime: RationalMatrix,
         return is_totally_positive_unitriangular(m, "lower")
     mf = _conjugated_product_float(u.to_float(), uprime.inverse().to_float(),
                                    t.coords)
-    ok, witness = _float_membership(mf, u.n, margin)
+    ok, witness = _float_membership(mf, relevant_minor_pairs(u.n, "lower"),
+                                    margin)
     return PositivityVerdict(ok, witness)
 
 
@@ -240,7 +248,7 @@ def theta_forward(u: RationalMatrix, uprime: RationalMatrix, t: TorusPoint) -> t
         return tuple(z_function(m, j) for j in range(1, n))
     mf = _conjugated_product_float(u.to_float(), uprime.inverse().to_float(),
                                    t.coords)
-    ok, witness = _float_membership(mf, n, 0.0)
+    ok, witness = _float_membership(mf, relevant_minor_pairs(n, "lower"), 0.0)
     if not ok:
         raise NotInTorusSet(f"torus point outside the domain: {witness.describe()}",
                             PositivityVerdict(False, witness))
@@ -488,12 +496,7 @@ class ZSystem:
         return _conjugated_product_float(self._uf, self._binv, R)
 
     def membership(self, R, margin: float) -> bool:
-        m = self.matrix(R)
-        for rows, cols in self._pairs:
-            sub = [[m[r - 1][c - 1] for c in cols] for r in rows]
-            if float_det(sub) <= margin:
-                return False
-        return True
+        return _float_membership(self.matrix(R), self._pairs, margin)[0]
 
 
 def _check_jacobian_fd(zsys: ZSystem, R, tol: float = 1e-6):

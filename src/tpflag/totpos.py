@@ -8,6 +8,12 @@ and strictly positive parameters these products sweep out exactly the
 totally positive unit-triangular matrices, which is what the membership
 tests characterize via minors.
 
+Each membership test checks only a minimal set of minors: the n(n-1)/2
+corner minors for a unit-triangular matrix (Fomin & Zelevinsky) and the
+n^2 initial minors for an element of SL_n (Gasca & Peña).  The
+brute-force all-minors criteria they replace live on as oracles in the
+test suite (``tests/oracles.py``).
+
 Everything here is exact rational arithmetic.  The only float-aware code
 path is parameter extraction, which the flag pipeline reuses on float
 matrices by passing an explicit tolerance.
@@ -16,12 +22,10 @@ matrices by passing an explicit tolerance.
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations
 from typing import Optional
 
-from .errors import (DecompositionUnavailable, InconsistentCriteria,
-                     NotInCell)
-from .exactmat import RationalMatrix, _det, float_det, gauss_decompose
+from .errors import NotInCell
+from .exactmat import MAX_DIMENSION, RationalMatrix, _det, float_det
 from .prng import SplitMix64, derive_seed
 from .weyl import WeylElement, is_reduced, longest_element, reduced_word
 
@@ -252,103 +256,77 @@ def _evaluate_float(word, params, sign, n):
 # Positivity tests
 
 
-MAX_TEST_DIMENSION = 6
-
-_DETECTION_SEEDS = (0x5EED0001, 0x5EED0002, 0x5EED0003)
+def _interval(start: int, k: int) -> tuple:
+    return tuple(range(start, start + k))
 
 
 @lru_cache(maxsize=None)
 def relevant_minor_pairs(n: int, sign: str) -> tuple:
-    """All (rows, cols) index-set pairs whose minor is not identically
-    zero on the unit-triangular group of the given sign.
-
-    Detection is sample-based: a minor is declared identically zero iff
-    it vanishes on three independent positive cell points with exact
-    rational parameters (a polynomial that vanishes at three generic
-    positive points of the cell is zero on the cell at these sizes; the
-    combinatorial description is cross-checked in the test suite).
-    Pairs are ordered by size, then colexicographically.
+    """The n(n-1)/2 corner minors that decide total positivity on the
+    unit-triangular group of the given sign (Fomin & Zelevinsky, Math.
+    Intelligencer 22, 2000): on the lower side rows {j+1..j+k} against
+    columns {1..k} for k >= 1, j >= 1, j + k <= n; the upper side is the
+    transpose.  Pairs are ordered by size, then colexicographically.
     """
     _check_sign(sign)
-    w0 = longest_element(range(1, n), n)
-    samples = [evaluate_params(sample_positive(w0, sign, seed, scale=7), sign, n)
-               for seed in _DETECTION_SEEDS]
+    pairs = tuple((_interval(j + 1, k), _interval(1, k))
+                  for k in range(1, n) for j in range(1, n - k + 1))
+    if sign == "upper":
+        pairs = tuple((cols, rows) for rows, cols in pairs)
+    return pairs
+
+
+@lru_cache(maxsize=None)
+def _initial_minor_pairs(n: int) -> tuple:
+    """The n^2 initial minors of Gasca & Peña: contiguous rows and
+    columns, one of the two sets starting at 1; size, then colex."""
     pairs = []
     for k in range(1, n + 1):
-        subsets = sorted((tuple(i + 1 for i in c) for c in combinations(range(n), k)),
-                         key=lambda t: t[::-1])
-        for rows in subsets:
-            for cols in subsets:
-                if any(s.minor(rows, cols) != 0 for s in samples):
-                    pairs.append((rows, cols))
+        pairs.extend((_interval(1, k), _interval(c, k)) for c in range(1, n - k + 2))
+        pairs.extend((_interval(r, k), _interval(1, k)) for r in range(2, n - k + 2))
     return tuple(pairs)
 
 
-def is_totally_positive_unitriangular(u: RationalMatrix, sign: str) -> PositivityVerdict:
-    """Membership in the totally positive unit-triangular semigroup:
-    every minor that is not identically zero on the triangular group must
-    be strictly positive.  Brute force over all index pairs; exact."""
-    _check_sign(sign)
-    if u.n > MAX_TEST_DIMENSION:
-        raise ValueError(f"positivity tests are limited to n <= {MAX_TEST_DIMENSION}")
-    if not u.is_unit_triangular(sign):
-        raise ValueError(f"input is not unit {sign} triangular")
-    for rows, cols in relevant_minor_pairs(u.n, sign):
-        value = u.minor(rows, cols)
+def _check_dimension(n: int):
+    if n > MAX_DIMENSION:
+        raise ValueError(f"positivity tests are limited to n <= {MAX_DIMENSION}")
+
+
+def _first_nonpositive(m: RationalMatrix, pairs) -> PositivityVerdict:
+    for rows, cols in pairs:
+        value = m.minor(rows, cols)
         if value <= 0:
             return PositivityVerdict(False, MinorWitness(rows, cols, value,
                                                          "must be > 0"))
     return PositivityVerdict(True)
 
 
-def _all_minors_positive(g: RationalMatrix) -> PositivityVerdict:
-    """The classical criterion: every minor of every size is > 0."""
-    n = g.n
-    for k in range(1, n + 1):
-        subsets = sorted((tuple(i + 1 for i in c) for c in combinations(range(n), k)),
-                         key=lambda t: t[::-1])
-        for rows in subsets:
-            for cols in subsets:
-                value = g.minor(rows, cols)
-                if value <= 0:
-                    return PositivityVerdict(False, MinorWitness(rows, cols, value,
-                                                                 "must be > 0"))
-    return PositivityVerdict(True)
+def is_totally_positive_unitriangular(u: RationalMatrix, sign: str) -> PositivityVerdict:
+    """Membership in the totally positive unit-triangular semigroup:
+    the corner minors of :func:`relevant_minor_pairs` are strictly
+    positive.  The witness is the first one that is not; exact."""
+    _check_sign(sign)
+    _check_dimension(u.n)
+    if not u.is_unit_triangular(sign):
+        raise ValueError(f"input is not unit {sign} triangular")
+    return _first_nonpositive(u, relevant_minor_pairs(u.n, sign))
 
 
 def is_g_positive(g: RationalMatrix) -> PositivityVerdict:
     """Membership in the totally positive semigroup of SL_n.
 
-    Two independent routes are evaluated and must agree: (a) the Gaussian
-    factorization exists and each factor (unit upper, positive diagonal,
-    unit lower) passes its own positivity test; (b) every minor of g of
-    every size is strictly positive.  Determinant != 1 is a negative
-    verdict, not an error.
+    Determinant != 1 is a negative verdict, not an error.  Otherwise g is
+    totally positive iff its n^2 initial minors are strictly positive
+    (Gasca & Peña, Linear Algebra Appl. 165, 1992); the witness is the
+    first one, by size then colex, that is not.
     """
-    if g.n > MAX_TEST_DIMENSION:
-        raise ValueError(f"positivity tests are limited to n <= {MAX_TEST_DIMENSION}")
-    if g.det() != 1:
+    _check_dimension(g.n)
+    det = g.det()
+    if det != 1:
         full = tuple(range(1, g.n + 1))
-        return PositivityVerdict(False, MinorWitness(full, full, g.det(),
+        return PositivityVerdict(False, MinorWitness(full, full, det,
                                                      "determinant must be 1"))
-    by_factorization = True
-    try:
-        factors = gauss_decompose(g)
-        if any(d <= 0 for d in factors.torus.diagonal_entries()):
-            by_factorization = False
-        elif not is_totally_positive_unitriangular(factors.upper, "upper").member:
-            by_factorization = False
-        elif not is_totally_positive_unitriangular(factors.lower, "lower").member:
-            by_factorization = False
-    except DecompositionUnavailable:
-        by_factorization = False
-
-    by_minors = _all_minors_positive(g)
-    if by_factorization != by_minors.member:
-        raise InconsistentCriteria(
-            "factorization-based and all-minors membership disagree "
-            f"(factorization={by_factorization}, minors={by_minors.member})")
-    return by_minors
+    return _first_nonpositive(g, _initial_minor_pairs(g.n))
 
 
 # ---------------------------------------------------------------------------

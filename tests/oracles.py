@@ -1,12 +1,14 @@
 """Independent reference implementations used only to cross-check the
 package.  Deliberately written with different algorithms than the code
 under test (permutation sums instead of elimination, descent recursion
-instead of the greedy word builder, the combinatorial nonvanishing rule
-instead of sample-based detection)."""
+instead of the greedy word builder, brute force over every minor
+instead of the minimal-minor positivity tests)."""
 
 from fractions import Fraction
 from itertools import combinations, permutations
 
+from tpflag import (DecompositionUnavailable, gauss_decompose,
+                    is_totally_positive_unitriangular)
 from tpflag.weyl import WeylElement
 
 
@@ -57,3 +59,65 @@ def nonvanishing_pairs(n: int, sign: str) -> set:
                 if ok:
                     out.add((rows, cols))
     return out
+
+
+def all_pairs(n: int) -> list:
+    """Every (rows, cols) pair of equal-size index sets, by size, then
+    colexicographically."""
+    out = []
+    for k in range(1, n + 1):
+        subsets = sorted(combinations(range(1, n + 1), k), key=lambda t: t[::-1])
+        out.extend((rows, cols) for rows in subsets for cols in subsets)
+    return out
+
+
+def _is_interval(idx) -> bool:
+    return idx == tuple(range(idx[0], idx[0] + len(idx)))
+
+
+def corner_pairs(n: int, sign: str) -> set:
+    """The Fomin-Zelevinsky corner minors, picked out of the nonvanishing
+    pairs: both index sets are intervals, the columns start at 1 and the
+    rows do not (lower side; the upper side is the transpose)."""
+    out = set()
+    for rows, cols in nonvanishing_pairs(n, sign):
+        low, high = (rows, cols) if sign == "lower" else (cols, rows)
+        if (_is_interval(rows) and _is_interval(cols)
+                and high[0] == 1 and low[0] > 1):
+            out.add((rows, cols))
+    return out
+
+
+def initial_pairs(n: int) -> set:
+    """The Gasca-Peña initial minors: both index sets are intervals and
+    at least one of them starts at 1."""
+    return {(rows, cols) for rows, cols in all_pairs(n)
+            if _is_interval(rows) and _is_interval(cols) and 1 in (rows[0], cols[0])}
+
+
+def brute_force_unitriangular(u, sign: str) -> bool:
+    """Every minor that is not identically zero on the unit-triangular
+    group of the given sign is > 0."""
+    return all(u.minor(rows, cols) > 0 for rows, cols in nonvanishing_pairs(u.n, sign))
+
+
+def brute_force_g_positive(g) -> bool:
+    """The classical criterion: det g = 1 and every minor of every size
+    is > 0."""
+    return g.det() == 1 and all(g.minor(rows, cols) > 0 for rows, cols in all_pairs(g.n))
+
+
+def factorization_positive(g) -> bool:
+    """The Gaussian-factor route: g = upper * torus * lower exists, the
+    torus is positive and both unit-triangular factors pass their own
+    positivity tests.  Cheap enough for n = 7, 8, where brute force over
+    every minor is not."""
+    if g.det() != 1:
+        return False
+    try:
+        factors = gauss_decompose(g)
+    except DecompositionUnavailable:
+        return False
+    return (all(d > 0 for d in factors.torus.diagonal_entries())
+            and is_totally_positive_unitriangular(factors.upper, "upper").member
+            and is_totally_positive_unitriangular(factors.lower, "lower").member)

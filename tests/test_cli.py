@@ -116,6 +116,26 @@ class TestTheta:
         code, _ = run(capsys, "theta", "forward", "--instance", path)
         assert code == 3
 
+    def test_forward_non_finite_minors_exits_three(self, tmp_path, capsys):
+        # the conjugated product overflows to NaN; the float gate must
+        # reject it instead of printing NaN targets
+        instance, _ = sample_instance(tmp_path, capsys, n=4, seed=3)
+        instance["t"] = [1e200] * 3
+        path = write_json(tmp_path / "huge_t.json", instance)
+        code, out = run(capsys, "theta", "forward", "--instance", path)
+        assert code == 3
+        assert "NaN" not in out
+
+    def test_solve_float_arithmetic_failure_exits_three(self, tmp_path, capsys):
+        # huge targets drive the line search into a float division by
+        # zero; that is a domain error with a message, not a traceback
+        instance, _ = sample_instance(tmp_path, capsys, n=4, seed=3)
+        instance["z"] = [1e300] * 3
+        path = write_json(tmp_path / "huge_z.json", instance)
+        code = main(["theta", "solve", "--instance", path])
+        assert code == 3
+        assert capsys.readouterr().err.startswith("error: ZeroDivisionError")
+
     def test_solve_without_convergence_exits_four(self, tmp_path, capsys):
         _, path = sample_instance(tmp_path, capsys, n=4, seed=2)
         code, _ = run(capsys, "theta", "solve", "--instance", path,
@@ -256,6 +276,13 @@ class TestSample:
         path = write_json(tmp_path / "m.json", payload["matrix"])
         code, _ = run(capsys, "check", path, "--kind", "lower")
         assert code == 0
+
+    def test_dimension_cap_is_max_dimension(self, capsys):
+        code, out = run(capsys, "sample", "--kind", "g", "--n", "8", "--seed", "1")
+        assert code == 0
+        assert json.loads(out)["matrix"]["n"] == 8
+        code, _ = run(capsys, "sample", "--kind", "g", "--n", "9")
+        assert code == 2
 
     def test_bad_kind_rejected(self, capsys):
         with pytest.raises(SystemExit):

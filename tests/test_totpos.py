@@ -4,22 +4,68 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from tpflag import (InconsistentCriteria, LusztigParams, NotInCell,
-                    RationalMatrix, evaluate_params, extract_params,
-                    is_g_positive, is_totally_positive_unitriangular,
-                    relevant_minor_pairs, sample_g_positive, sample_positive,
-                    sample_torus_matrix)
+from tpflag import (LusztigParams, NotInCell, RationalMatrix,
+                    evaluate_params, extract_params, is_g_positive,
+                    is_totally_positive_unitriangular, relevant_minor_pairs,
+                    sample_g_positive, sample_positive, sample_torus_matrix)
 from tpflag.prng import SplitMix64, derive_seed
-from tpflag.totpos import elementary
-from tpflag.weyl import WeylElement, longest_element
+from tpflag.totpos import _initial_minor_pairs, elementary
+from tpflag.weyl import WeylElement, longest_element, reduced_word
 
-from oracles import all_reduced_words, nonvanishing_pairs
+from oracles import (all_reduced_words, brute_force_g_positive,
+                     brute_force_unitriangular, corner_pairs,
+                     factorization_positive, initial_pairs, nonvanishing_pairs,
+                     permutation_sum_minor)
 
 positive_fractions = st.fractions(min_value=F(1, 6), max_value=6, max_denominator=6)
 
 
 def w0(n):
     return longest_element(range(1, n), n)
+
+
+def size_colex(pair):
+    rows, cols = pair
+    return len(rows), rows[::-1], cols[::-1]
+
+
+def cell_point(params, sign, n):
+    """Product of elementary factors along the canonical word of w0;
+    unlike evaluate_params it accepts zero and negative parameters."""
+    out = RationalMatrix.identity(n)
+    for i, a in zip(reduced_word(w0(n)), params):
+        out = out @ elementary(i, a, sign, n)
+    return out
+
+
+def spoiled_params(n, sign, seed, how):
+    """Positive parameters on w0 with one entry set to zero or negated."""
+    params = list(sample_positive(w0(n), sign, seed).params)
+    at = SplitMix64(derive_seed(seed, 7)).randint(len(params))
+    params[at] = F(0) if how == "zero" else -params[at]
+    return params
+
+
+def spoiled_g(n, seed, side, how):
+    """upper * torus * lower with the factor on ``side`` spoiled; the
+    Gaussian factors are unique, so g is not totally positive."""
+    factors = []
+    for k, sign in enumerate(("upper", "lower")):
+        seed_k = derive_seed(seed, 2 * k)
+        params = (spoiled_params(n, sign, seed_k, how) if sign == side
+                  else sample_positive(w0(n), sign, seed_k).params)
+        factors.append(cell_point(params, sign, n))
+    return factors[0] @ sample_torus_matrix(n, derive_seed(seed, 1)) @ factors[1]
+
+
+def assert_witness_is_sound(verdict, m):
+    """A negative verdict names a minor <= 0 whose value is recomputed
+    independently by a permutation sum."""
+    if verdict.member:
+        return
+    w = verdict.witness
+    assert w.value <= 0
+    assert w.value == permutation_sum_minor(m, w.rows, w.cols)
 
 
 def random_weyl(rng, n):
@@ -187,10 +233,15 @@ class TestUnitriangularMembership:
             is_totally_positive_unitriangular(
                 RationalMatrix.from_rows([[1, 1], [1, 1]]), "lower")
 
-    @pytest.mark.parametrize("n", [2, 3, 4])
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 7, 8])
     @pytest.mark.parametrize("sign", ["lower", "upper"])
     def test_relevant_pairs_match_combinatorial_rule(self, n, sign):
-        assert set(relevant_minor_pairs(n, sign)) == nonvanishing_pairs(n, sign)
+        # the corner minors, n(n-1)/2 of them, by size then colex; all of
+        # them are among the minors that can be nonzero on the group
+        pairs = relevant_minor_pairs(n, sign)
+        assert pairs == tuple(sorted(corner_pairs(n, sign), key=size_colex))
+        assert len(pairs) == n * (n - 1) // 2
+        assert set(pairs) <= nonvanishing_pairs(n, sign)
 
     @pytest.mark.parametrize("sign", ["lower", "upper"])
     def test_cell_points_are_members(self, sign):
@@ -229,31 +280,100 @@ class TestGPositive:
 
     def test_criteria_agree_on_two_hundred_mixed_samples(self):
         # construction-based members, near-boundary members (tiny and huge
-        # parameters), and assorted non-members; InconsistentCriteria would
-        # raise if the factorization and all-minors routes ever disagreed
-        count = 0
-        for seed in range(60):
-            for n in (2, 3):
-                count += 1
-                is_g_positive(sample_g_positive(n, seed))
-        for seed in range(40):
-            count += 1
-            is_g_positive(sample_g_positive(3, seed, scale=64))
-        eye = RationalMatrix.identity(3)
-        for seed in range(40):
-            count += 1
-            g = sample_g_positive(3, seed)
-            # kill positivity by transposing the lower factor order
-            bad = g @ RationalMatrix.from_rows([[1, 0, 0], [0, 0, -1], [0, 1, 0]])
-            if bad.det() == 1:
-                is_g_positive(bad)
-        assert count >= 200
+        # parameters), and assorted non-members: the initial-minor test,
+        # the all-minors oracle and the Gaussian-factor route agree
+        samples = [sample_g_positive(n, seed) for seed in range(60) for n in (2, 3)]
+        samples += [sample_g_positive(3, seed, scale=64) for seed in range(40)]
+        turn = RationalMatrix.from_rows([[1, 0, 0], [0, 0, -1], [0, 1, 0]])
+        samples += [sample_g_positive(3, seed) @ turn for seed in range(40)]
+        assert len(samples) == 200
+        for g in samples:
+            verdict = is_g_positive(g)
+            assert verdict.member == brute_force_g_positive(g) == factorization_positive(g)
+            assert_witness_is_sound(verdict, g)
 
     def test_semigroup_closure_sampled(self):
         for seed in range(25):
             a = sample_g_positive(3, derive_seed(seed, 0))
             b = sample_g_positive(3, derive_seed(seed, 1))
             assert is_g_positive(a @ b).member
+
+
+class TestOracleAgreement:
+    """The minimal-minor tests against brute force over every minor."""
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+    @pytest.mark.parametrize("sign", ["lower", "upper"])
+    def test_unitriangular_matches_brute_force(self, n, sign):
+        points = [(evaluate_params(sample_positive(w0(n), sign, seed), sign, n), True)
+                  for seed in range(3)]
+        points += [(cell_point(spoiled_params(n, sign, seed, how), sign, n), False)
+                   for seed in range(4) for how in ("zero", "negative")]
+        for u, member in points:
+            verdict = is_totally_positive_unitriangular(u, sign)
+            assert verdict.member == brute_force_unitriangular(u, sign) == member
+            assert_witness_is_sound(verdict, u)
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+    @pytest.mark.parametrize("side", ["lower", "upper"])
+    def test_g_positive_matches_brute_force(self, n, side):
+        points = [(sample_g_positive(n, derive_seed(seed, n)), True) for seed in range(2)]
+        points += [(spoiled_g(n, seed, side, how), False)
+                   for seed in range(2) for how in ("zero", "negative")]
+        for g, member in points:
+            verdict = is_g_positive(g)
+            assert verdict.member == brute_force_g_positive(g) == member
+            assert_witness_is_sound(verdict, g)
+
+    @given(st.integers(2, 5), st.sampled_from(["lower", "upper"]),
+           st.lists(st.fractions(min_value=-2, max_value=4, max_denominator=3),
+                    min_size=10, max_size=10))
+    def test_unitriangular_hypothesis(self, n, sign, values):
+        u = cell_point(values, sign, n)
+        verdict = is_totally_positive_unitriangular(u, sign)
+        assert verdict.member == brute_force_unitriangular(u, sign)
+        assert_witness_is_sound(verdict, u)
+
+    @given(st.integers(2, 4),
+           st.lists(st.fractions(min_value=-1, max_value=4, max_denominator=3),
+                    min_size=12, max_size=12),
+           st.integers(0, 2 ** 32))
+    def test_g_positive_hypothesis(self, n, values, seed):
+        half = n * (n - 1) // 2
+        g = (cell_point(values[:half], "upper", n)
+             @ sample_torus_matrix(n, seed)
+             @ cell_point(values[half:2 * half], "lower", n))
+        verdict = is_g_positive(g)
+        assert verdict.member == brute_force_g_positive(g)
+        assert_witness_is_sound(verdict, g)
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 7, 8])
+    def test_initial_minors_match_combinatorial_rule(self, n):
+        pairs = _initial_minor_pairs(n)
+        assert pairs == tuple(sorted(initial_pairs(n), key=size_colex))
+        assert len(pairs) == n * n
+
+    @pytest.mark.parametrize("n", [7, 8])
+    def test_large_n_matches_factorization_route(self, n):
+        points = [(sample_g_positive(n, seed), True) for seed in range(2)]
+        points += [(spoiled_g(n, 0, "lower", "zero"), False),
+                   (spoiled_g(n, 1, "upper", "negative"), False)]
+        for g, member in points:
+            verdict = is_g_positive(g)
+            assert verdict.member == factorization_positive(g) == member
+            assert_witness_is_sound(verdict, g)
+
+    @pytest.mark.parametrize("sign", ["lower", "upper"])
+    def test_large_n_unitriangular(self, sign):
+        for n in (7, 8):
+            u = evaluate_params(sample_positive(w0(n), sign, n), sign, n)
+            assert is_totally_positive_unitriangular(u, sign).member
+            bad = cell_point(spoiled_params(n, sign, n, "zero"), sign, n)
+            assert not is_totally_positive_unitriangular(bad, sign).member
+
+    def test_dimension_cap(self):
+        with pytest.raises(ValueError):
+            is_g_positive(RationalMatrix.identity(9))
 
 
 class TestSampling:
