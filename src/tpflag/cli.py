@@ -20,7 +20,6 @@ import sys
 import tempfile
 import time
 
-from . import theta as theta_mod
 from .errors import (DecompositionUnavailable, EigenvalueCollision,
                      FlagComputationError, MembershipViolation, NoConvergence,
                      NotInCell, NotInFibre, NotInTorusSet, NotPositive)
@@ -28,9 +27,9 @@ from .exactmat import MAX_DIMENSION, RationalMatrix
 from .flag import (DEFAULT_TOLERANCES, FlagPoint, FloatTolerances, sigma_b,
                    perron_line_check, snap_matrix, split_cell, zeta, zeta_j)
 from .prng import derive_seed
-from .theta import (SolverConfig, ThetaInstance, sample_torus_in_domain,
-                    theta_forward, theta_inverse_numeric, theta_inverse_sl2,
-                    theta_inverse_sl3, verify_conjecture)
+from .theta import (SolverConfig, ThetaInstance, format_scalar,
+                    sample_torus_in_domain, theta_forward, theta_inverse_numeric,
+                    theta_inverse_sl2, theta_inverse_sl3, verify_conjecture)
 from .totpos import (is_g_positive, is_totally_positive_unitriangular,
                      evaluate_params, sample_g_positive, sample_positive,
                      sample_torus_matrix)
@@ -50,11 +49,11 @@ class CampaignConfig:
     n: int
     trials: int
     seed: int
-    starts: int = 10
-    max_iterations: int = 60
-    newton_tolerance: float = 1e-12
-    residual_tolerance: float = 1e-9
-    cluster_threshold: float = 1e-6
+    starts: int = SolverConfig.starts
+    max_iterations: int = SolverConfig.max_iterations
+    newton_tolerance: float = SolverConfig.newton_tolerance
+    residual_tolerance: float = SolverConfig.residual_tolerance
+    cluster_threshold: float = SolverConfig.cluster_threshold
     output_csv: str = "campaign.csv"
     output_json: str = "campaign.json"
     counterexample_dir: str = ""
@@ -62,9 +61,7 @@ class CampaignConfig:
     def __post_init__(self):
         if self.trials < 1:
             raise ValueError("trials must be >= 1")
-        for name in ("newton_tolerance", "residual_tolerance", "cluster_threshold"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be > 0")
+        self.solver_config()  # SolverConfig validates the solver fields
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "CampaignConfig":
@@ -155,7 +152,7 @@ def cmd_theta(args) -> int:
         if instance.t is None:
             raise ValueError("forward needs a 't' field in the instance")
         z = theta_forward(instance.u, instance.uprime, instance.t)
-        _emit({"n": n, "z": [theta_mod._format_scalar(v) for v in z]}, args.output)
+        _emit({"n": n, "z": [format_scalar(v) for v in z]}, args.output)
         return EXIT_OK
 
     if instance.z is None:

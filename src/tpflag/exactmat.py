@@ -90,7 +90,7 @@ class RationalMatrix:
         return RationalMatrix(tuple(zip(*self.rows)))
 
     def det(self) -> Fraction:
-        return _det([list(row) for row in self.rows])
+        return _det(self.rows)
 
     def inverse(self) -> "RationalMatrix":
         """Exact inverse via Gauss-Jordan elimination."""
@@ -185,25 +185,36 @@ class RationalMatrix:
 
 
 def _det(a) -> Fraction:
-    """Determinant of a mutable list-of-lists of Fractions, by Gaussian
-    elimination with row swaps."""
-    n = len(a)
+    """Exact determinant of a square list-of-lists of rationals (ints or
+    Fractions; the input is not modified).
+
+    Each row is scaled to integers by the lcm of its denominators, then
+    Bareiss fraction-free elimination (Math. Comp. 22, 1968) runs on
+    Python ints: every step divides exactly by the previous pivot, so no
+    gcd is taken until the one final Fraction.  A zero pivot is replaced
+    by a later row with a nonzero entry in that column (a row swap); when
+    there is none, the determinant is 0."""
+    scale = 1
+    m = []
+    for row in a:
+        d = math.lcm(*(x.denominator for x in row))
+        scale *= d
+        m.append([x.numerator * (d // x.denominator) for x in row])
     sign = 1
-    det = Fraction(1)
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if a[r][col] != 0), None)
-        if pivot is None:
-            return Fraction(0)
-        if pivot != col:
-            a[col], a[pivot] = a[pivot], a[col]
+    prev = 1
+    while len(m) > 1:
+        if m[0][0] == 0:
+            swap = next((r for r in range(1, len(m)) if m[r][0] != 0), None)
+            if swap is None:
+                return Fraction(0)
+            m[0], m[swap] = m[swap], m[0]
             sign = -sign
-        det *= a[col][col]
-        inv = 1 / a[col][col]
-        for r in range(col + 1, n):
-            if a[r][col] != 0:
-                f = a[r][col] * inv
-                a[r] = [x - f * y for x, y in zip(a[r], a[col])]
-    return sign * det
+        pivot_row = m[0]
+        pivot = pivot_row[0]
+        m = [[(x * pivot - row[0] * y) // prev
+              for x, y in zip(row[1:], pivot_row[1:])] for row in m[1:]]
+        prev = pivot
+    return Fraction(sign * m[0][0], scale)
 
 
 def minor(m: RationalMatrix, rowset, colset) -> Fraction:

@@ -453,6 +453,13 @@ def zeta_j(g: RationalMatrix, J: Iterable[int],
     through the wedge eigenlines; disagreement aborts."""
     J = tuple(sorted(set(int(j) for j in J)))
     lower, ef = _zeta_impl(g, tol)
+    return _parabolic_from_borel(g, J, lower, ef, tol)
+
+
+def _parabolic_from_borel(g: RationalMatrix, J: tuple, lower, ef: EigenFlag,
+                          tol: FloatTolerances) -> ParabolicPoint:
+    """The part of :func:`zeta_j` after the Borel step, given the output
+    ``(lower, ef)`` of ``_zeta_impl(g, tol)`` and a sorted J."""
     first, _ = split_cell([list(r) for r in lower], J, atol=tol.split_atol)
     basis = np.array(ef.basis)
     for j in range(1, g.n):
@@ -494,9 +501,9 @@ def check_partition(g: RationalMatrix, J: Iterable[int],
     the coset part of the Borel representative equals the parabolic
     representative (float comparison at the configured tolerance)."""
     J = tuple(sorted(set(int(j) for j in J)))
-    borel = zeta(g, tol)
-    first, _ = split_cell(borel.rep_rows(), J, atol=tol.split_atol)
-    parabolic = zeta_j(g, J, tol)
+    lower, ef = _zeta_impl(g, tol)
+    first, _ = split_cell([list(r) for r in lower], J, atol=tol.split_atol)
+    parabolic = _parabolic_from_borel(g, J, lower, ef, tol)
     a = np.array(first)
     b = np.array(parabolic.rep_rows())
     return float(np.max(np.abs(a - b))) <= tol.compare * max(1.0, float(np.max(np.abs(b))))

@@ -130,9 +130,9 @@ class ThetaInstance:
         out = {"n": self.u.n, "u": self.u.to_json_dict(),
                "uprime": self.uprime.to_json_dict()}
         if self.t is not None:
-            out["t"] = [_format_scalar(c) for c in self.t.coords]
+            out["t"] = [format_scalar(c) for c in self.t.coords]
         if self.z is not None:
-            out["z"] = [_format_scalar(c) for c in self.z]
+            out["z"] = [format_scalar(c) for c in self.z]
         return out
 
 
@@ -147,7 +147,9 @@ def _parse_scalar(x):
     return float(x)
 
 
-def _format_scalar(x):
+def format_scalar(x):
+    """JSON form of a scalar: exact rationals as strings, the rest as
+    floats; :func:`_parse_scalar` reads it back."""
     return str(x) if isinstance(x, Fraction) else float(x)
 
 

@@ -235,7 +235,7 @@ def extract_params(u, w: WeylElement, sign: str,
 
 def _minor_of_rows(rows, rset, cset, exact):
     sub = [[rows[r - 1][c - 1] for c in cset] for r in rset]
-    return _det([list(r) for r in sub]) if exact else float_det(sub)
+    return _det(sub) if exact else float_det(sub)
 
 
 def _evaluate_float(word, params, sign, n):

@@ -4,7 +4,8 @@ from fractions import Fraction as F
 import pytest
 
 from tpflag import RationalMatrix, evaluate_params, sample_positive
-from tpflag.cli import main
+from tpflag.cli import CampaignConfig, main
+from tpflag.theta import SolverConfig
 from tpflag.weyl import longest_element
 
 
@@ -185,6 +186,18 @@ class TestVerify:
         path = self.config(tmp_path, trials=0)
         code, _ = run(capsys, "verify", "--config", path)
         assert code == 2
+
+    @pytest.mark.parametrize("field,value", [
+        ("starts", 0), ("max_iterations", 0), ("newton_tolerance", 0.0),
+        ("residual_tolerance", -1e-9), ("cluster_threshold", 0.0)])
+    def test_bad_solver_field_exits_two(self, tmp_path, capsys, field, value):
+        path = self.config(tmp_path, **{field: value})
+        code, _ = run(capsys, "verify", "--config", path)
+        assert code == 2
+
+    def test_defaults_are_the_solver_defaults(self):
+        config = CampaignConfig(n=3, trials=1, seed=0)
+        assert config.solver_config() == SolverConfig()
 
 
 class TestFlag:

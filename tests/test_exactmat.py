@@ -1,7 +1,8 @@
 from fractions import Fraction as F
+from itertools import permutations
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tpflag import (DecompositionUnavailable, RationalMatrix, colex_subsets,
@@ -11,10 +12,34 @@ from tpflag.totpos import sample_g_positive
 from oracles import permutation_sum_det, permutation_sum_minor
 
 rationals = st.fractions(min_value=-5, max_value=5, max_denominator=6)
+zero_heavy = st.one_of(st.just(F(0)), st.just(F(0)), st.just(F(0)), rationals)
+wide = st.fractions(min_value=-10 ** 6, max_value=10 ** 6, max_denominator=10 ** 9)
+negative = st.fractions(min_value=-10 ** 3, max_value=F(-1, 10 ** 3),
+                        max_denominator=10 ** 3)
 
 
 def square(entries):
     return RationalMatrix.from_rows(entries)
+
+
+def square_lists(entry, min_n=1, max_n=6):
+    """Square lists of lists of ``entry`` values, of size min_n..max_n."""
+    return st.integers(min_n, max_n).flatmap(lambda n: st.lists(
+        st.lists(entry, min_size=n, max_size=n), min_size=n, max_size=n))
+
+
+@st.composite
+def singular_lists(draw):
+    """n x n entries, n = 1..6, in which one row is a rational
+    combination of the others (the zero row when n = 1)."""
+    n = draw(st.integers(1, 6))
+    rows = draw(st.lists(st.lists(zero_heavy, min_size=n, max_size=n),
+                         min_size=n - 1, max_size=n - 1))
+    coeffs = draw(st.lists(rationals, min_size=n - 1, max_size=n - 1))
+    dependent = [sum((c * row[k] for c, row in zip(coeffs, rows)), F(0))
+                 for k in range(n)]
+    rows.insert(draw(st.integers(0, n - 1)), dependent)
+    return rows
 
 
 class TestMinor:
@@ -44,20 +69,90 @@ class TestMinor:
         with pytest.raises(ValueError):
             m.minor(rows, cols)
 
-    @given(st.lists(st.lists(rationals, min_size=3, max_size=3),
-                    min_size=3, max_size=3))
+    @given(square_lists(rationals))
     def test_det_matches_permutation_sum(self, entries):
         m = square(entries)
         assert m.det() == permutation_sum_det(entries)
 
-    @given(st.lists(st.lists(rationals, min_size=4, max_size=4),
-                    min_size=4, max_size=4),
-           st.sets(st.integers(1, 4), min_size=2, max_size=2),
-           st.sets(st.integers(1, 4), min_size=2, max_size=2))
-    def test_minor_matches_permutation_sum(self, entries, rows, cols):
+    @given(square_lists(zero_heavy, min_n=3), st.data())
+    def test_minor_matches_permutation_sum(self, entries, data):
         m = square(entries)
-        rows, cols = tuple(sorted(rows)), tuple(sorted(cols))
+        k = data.draw(st.integers(1, m.n))
+        index_set = st.sets(st.integers(1, m.n), min_size=k, max_size=k)
+        rows = tuple(sorted(data.draw(index_set)))
+        cols = tuple(sorted(data.draw(index_set)))
         assert m.minor(rows, cols) == permutation_sum_minor(m, rows, cols)
+
+
+class TestExactDeterminant:
+    """The exact determinant against the permutation-sum oracle, over
+    zero patterns, singular inputs, denominators and signs (sizes 1..6
+    are covered in TestMinor)."""
+
+    @given(square_lists(zero_heavy, min_n=2))
+    def test_zero_heavy_entries(self, entries):
+        assert square(entries).det() == permutation_sum_det(entries)
+
+    @pytest.mark.parametrize("entries", [
+        # after the first column is cleared, the second pivot is 0
+        [[1, 2, 3], [2, 4, 5], [3, 7, 1]],
+        # the leading 3 x 3 minor is 0, so the third pivot is 0
+        [[1, 2, 3, 4], [2, 5, 7, 1], [3, 7, 10, 2], [1, 1, 1, 1]],
+        # zero leading entries everywhere but the last row
+        [[0, 0, 0, 2], [0, 0, 3, 1], [0, 5, 1, 1], [7, 1, 1, 1]],
+        [[0, F(1, 2), 0], [F(-3, 4), 0, 0], [0, 0, F(5, 6)]],
+    ])
+    def test_pivots_vanishing_at_later_columns(self, entries):
+        assert square(entries).det() == permutation_sum_det(entries)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    def test_permutation_matrices(self, n):
+        for perm in permutations(range(n)):
+            entries = [[int(perm[i] == j) for j in range(n)] for i in range(n)]
+            assert square(entries).det() == permutation_sum_det(entries)
+
+    @given(singular_lists())
+    def test_singular_is_exact_zero(self, entries):
+        det = square(entries).det()
+        assert det == 0 and isinstance(det, F)
+        assert permutation_sum_det(entries) == 0
+
+    @pytest.mark.parametrize("entries", [
+        [[0, 0], [1, 2]],
+        [[1, 2, 3], [4, 5, 6], [7, 8, 9]],
+        [[F(1, 3), F(2, 3)], [F(1, 2), 1]],
+        [[1, 0, 1, 0], [0, 1, 0, 1], [1, 1, 1, 1], [2, 3, 4, 5]],
+    ])
+    def test_hand_singular(self, entries):
+        assert square(entries).det() == 0
+
+    @given(square_lists(wide, max_n=5))
+    def test_large_and_mixed_denominators(self, entries):
+        assert square(entries).det() == permutation_sum_det(entries)
+
+    def test_coprime_large_denominators(self):
+        primes = [999999937, 999999929, 999999893, 999999883]
+        entries = [[F((i + 1) * (j + 2) - 5, primes[(i + j) % 4]) for j in range(4)]
+                   for i in range(4)]
+        assert square(entries).det() == permutation_sum_det(entries)
+
+    @given(square_lists(negative))
+    def test_negative_entries(self, entries):
+        assert square(entries).det() == permutation_sum_det(entries)
+
+    @pytest.mark.parametrize("entries", [
+        [[3]],
+        [[1, 2], [3, 4]],
+        [[0, 1], [1, 0]],
+        [[1, 2], [2, 4]],
+        [[F(1, 2), 0], [0, 2]],
+    ])
+    def test_results_are_fractions(self, entries):
+        m = square(entries)
+        assert type(m.det()) is F
+        assert type(m.minor((1,), (1,))) is F
+        assert type(m.minor(tuple(range(1, m.n + 1)),
+                            tuple(range(1, m.n + 1)))) is F
 
 
 class TestGaussDecompose:
@@ -124,6 +219,26 @@ class TestExteriorPower:
         g = sample_g_positive(4, seed=5)
         assert g.det() == 1
         assert exterior_power(g, 2).det() == 1
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_entries_match_permutation_sum_at_n5(self, seed):
+        g = sample_g_positive(5, seed=seed)
+        for j in range(1, 5):
+            self.assert_matches_oracle(g, j)
+
+    @settings(max_examples=10)
+    @given(st.lists(st.lists(zero_heavy, min_size=5, max_size=5),
+                    min_size=5, max_size=5), st.integers(1, 4))
+    def test_entries_match_permutation_sum_on_rational_n5(self, entries, j):
+        self.assert_matches_oracle(square(entries), j)
+
+    @staticmethod
+    def assert_matches_oracle(m, j):
+        subs = colex_subsets(m.n, j)
+        wedge = exterior_power(m, j)
+        for a, r in enumerate(subs):
+            for b, c in enumerate(subs):
+                assert wedge.rows[a][b] == permutation_sum_minor(m, r, c)
 
     def test_wedge_index_range(self):
         with pytest.raises(ValueError):
