@@ -122,8 +122,7 @@ class RationalMatrix:
                 raise ValueError(f"index out of range 1..{self.n}: {idx}")
             if any(a >= b for a, b in zip(idx, idx[1:])):
                 raise ValueError(f"index set must be strictly increasing: {idx}")
-        sub = [[self.rows[r - 1][c - 1] for c in cols] for r in rows]
-        return _det(sub)
+        return _submatrix_det(self.rows, rows, cols)
 
     def is_unit_triangular(self, sign: str) -> bool:
         """True for unit lower ('lower') or unit upper ('upper')
@@ -215,6 +214,11 @@ def _det(a) -> Fraction:
               for x, y in zip(row[1:], pivot_row[1:])] for row in m[1:]]
         prev = pivot
     return Fraction(sign * m[0][0], scale)
+
+
+def _submatrix_det(rows, rowset, colset) -> Fraction:
+    """Unchecked :meth:`RationalMatrix.minor` on a row sequence."""
+    return _det([[rows[r - 1][c - 1] for c in colset] for r in rowset])
 
 
 def minor(m: RationalMatrix, rowset, colset) -> Fraction:
@@ -323,7 +327,7 @@ def exterior_power(m: RationalMatrix, j: int) -> RationalMatrix:
         raise ValueError(f"wedge index must be in 1..{n - 1}, got {j}")
     subs = colex_subsets(n, j)
     return RationalMatrix(tuple(
-        tuple(m.minor(r, c) for c in subs) for r in subs))
+        tuple(_submatrix_det(m.rows, r, c) for c in subs) for r in subs))
 
 
 # ---------------------------------------------------------------------------

@@ -32,6 +32,14 @@ from .totpos import (LusztigParams, evaluate_params, extract_params,
 from .weyl import concat_is_reduced, length, longest_element, reduced_word
 
 
+def _sorted_letters(J) -> tuple:
+    return tuple(sorted(set(int(j) for j in J)))
+
+
+def _float_rows(rows) -> tuple:
+    return tuple(tuple(float(x) for x in row) for row in rows)
+
+
 @dataclass(frozen=True)
 class FloatTolerances:
     """All float thresholds of the flag pipeline, in one place."""
@@ -77,8 +85,7 @@ class FlagPoint:
                 raise NotPositive("flag representative is not totally positive: "
                                   + verdict.witness.describe(), verdict)
         else:
-            object.__setattr__(self, "rep",
-                               tuple(tuple(float(x) for x in row) for row in rep))
+            object.__setattr__(self, "rep", _float_rows(rep))
 
     @property
     def is_exact(self) -> bool:
@@ -102,7 +109,7 @@ class ParabolicPoint:
     rep: object
 
     def __post_init__(self):
-        J = tuple(sorted(set(int(j) for j in self.J)))
+        J = _sorted_letters(self.J)
         object.__setattr__(self, "J", J)
         rep = self.rep
         if isinstance(rep, RationalMatrix):
@@ -110,8 +117,7 @@ class ParabolicPoint:
             w0J = longest_element(J, rep.n)
             extract_params(rep, w0 * w0J, "lower")  # raises NotInCell if invalid
         else:
-            object.__setattr__(self, "rep",
-                               tuple(tuple(float(x) for x in row) for row in rep))
+            object.__setattr__(self, "rep", _float_rows(rep))
 
     @property
     def is_exact(self) -> bool:
@@ -178,18 +184,24 @@ def eigen_flag(g: RationalMatrix, tol: FloatTolerances = DEFAULT_TOLERANCES) -> 
         if values[k] - values[k + 1] <= tol.eig_gap * max(1.0, abs(values[k])):
             raise EigenvalueCollision(
                 f"eigenvalue gap under threshold between rank {k} and {k + 1}")
-    # deterministic normalization: unit length, largest component positive
     for k in range(vectors.shape[1]):
-        col = vectors[:, k]
-        col = col / np.linalg.norm(col)
-        if col[int(np.argmax(np.abs(col)))] < 0:
-            col = -col
+        col = _normalize_line(vectors[:, k])
         vectors[:, k] = col
         resid = float(np.max(np.abs(a @ col - values[k] * col)))
         if resid > tol.eig_residual * max(1.0, abs(values[k])):
             raise FlagComputationError(f"eigenpair residual too large: {resid:.3g}")
-    return EigenFlag(tuple(float(v) for v in values),
-                     tuple(tuple(float(x) for x in row) for row in vectors))
+    return EigenFlag(tuple(float(v) for v in values), _float_rows(vectors))
+
+
+def _normalize_line(v: np.ndarray) -> np.ndarray:
+    """Unit length, largest component positive: one vector per line."""
+    norm = float(np.linalg.norm(v))
+    if norm == 0.0:
+        raise FlagComputationError("zero vector where a line was expected")
+    v = v / norm
+    if v[int(np.argmax(np.abs(v)))] < 0:
+        v = -v
+    return v
 
 
 def _ldu_unit_lower(m: np.ndarray, tol: FloatTolerances) -> np.ndarray:
@@ -266,7 +278,7 @@ def zeta(g: RationalMatrix, tol: FloatTolerances = DEFAULT_TOLERANCES,
     lower, _ = _zeta_impl(g, tol)
     if snap:
         return FlagPoint(snap_matrix(lower, tol.snap))
-    return FlagPoint(tuple(tuple(float(x) for x in row) for row in lower))
+    return FlagPoint(_float_rows(lower))
 
 
 # ---------------------------------------------------------------------------
@@ -350,7 +362,7 @@ def sigma_b_inverse(coords: CellCoordinates, B: FlagPoint,
     uf = np.array(uprime.to_float())
     vf = np.array(v.to_float())
     out = uf @ vf @ tf @ np.linalg.inv(uf)
-    return tuple(tuple(float(x) for x in row) for row in out)
+    return _float_rows(out)
 
 
 # ---------------------------------------------------------------------------
@@ -377,7 +389,7 @@ def split_cell(u1, J: Iterable[int], atol: Optional[float] = None):
     product of the two parts reproduces u1 (exactly in exact mode)."""
     exact = isinstance(u1, RationalMatrix)
     n = u1.n if exact else len(u1)
-    J = tuple(sorted(set(int(j) for j in J)))
+    J = _sorted_letters(J)
     w0, w0_w0J, w0J, word = _split_words(J, n)
     cut = length(w0_w0J)
     params = extract_params(u1, w0, "lower", word=word, atol=atol)
@@ -394,24 +406,38 @@ def split_cell(u1, J: Iterable[int], atol: Optional[float] = None):
     return first, second
 
 
-def _wedge_of_leading_columns(rows, j: int) -> np.ndarray:
-    """Wedge coordinates (colex row-subset minors) of the first j
-    columns of a float matrix."""
+def _leading_lines(rows, J: tuple) -> dict:
+    """For each wedge index j in 1..n-1 outside J, the line spanned by
+    the first j columns of a float matrix: their wedge coordinates
+    (colex row-subset minors), normalized."""
     a = np.array(rows, dtype=float)
-    n = a.shape[0]
-    subs = colex_subsets(n, j)
-    return np.array([np.linalg.det(a[np.ix_([r - 1 for r in sub], list(range(j)))])
-                     for sub in subs])
+    return {j: _normalize_line(np.array(
+                [np.linalg.det(a[np.ix_([r - 1 for r in sub], list(range(j)))])
+                 for sub in colex_subsets(len(a), j)]))
+            for j in range(1, len(a)) if j not in J}
 
 
-def _normalize_line(v: np.ndarray) -> np.ndarray:
-    norm = float(np.linalg.norm(v))
-    if norm == 0.0:
-        raise FlagComputationError("zero vector where a line was expected")
-    v = v / norm
-    if v[int(np.argmax(np.abs(v)))] < 0:
-        v = -v
-    return v
+def _classify(g: RationalMatrix, J: Iterable[int], tol: FloatTolerances):
+    """Sorted J, the float Borel representative with its eigen flag, and
+    the coset part of that representative (the parabolic one)."""
+    J = _sorted_letters(J)
+    lower, ef = _zeta_impl(g, tol)
+    first, _ = split_cell(lower, J, atol=tol.split_atol)
+    return J, lower, ef, first
+
+
+def _perron_deviations(g: RationalMatrix, J: tuple, ef: EigenFlag, first):
+    """Yield (j, basis deviation, split deviation) for each j outside J:
+    the distance of the leading eigenline of the exact j-th wedge power
+    of g from the leading lines of the eigenbasis and of ``first``."""
+    from_basis = _leading_lines(ef.basis, J)
+    from_split = _leading_lines(first, J)
+    for j in from_basis:
+        wedge = np.array(exterior_power(g, j).to_float())
+        values, vectors = np.linalg.eig(wedge)
+        perron = _normalize_line(vectors[:, int(np.argmax(values.real))].real)
+        yield (j, float(np.max(np.abs(perron - from_basis[j]))),
+               float(np.max(np.abs(perron - from_split[j]))))
 
 
 def perron_line_check(g: RationalMatrix, J: Iterable[int],
@@ -422,23 +448,10 @@ def perron_line_check(g: RationalMatrix, J: Iterable[int],
     eigenvectors of g, and the leading-column wedge of the parabolic
     representative from the splitting route.  Returns per-j deviations
     and an overall flag."""
-    J = tuple(sorted(set(int(j) for j in J)))
-    n = g.n
-    lower, ef = _zeta_impl(g, tol)
-    first, _ = split_cell([list(r) for r in lower], J, atol=tol.split_atol)
-    basis = np.array(ef.basis)
+    J, _, ef, first = _classify(g, J, tol)
     out = {"J": list(J), "per_j": {}, "ok": True, "max_deviation": 0.0}
-    for j in range(1, n):
-        if j in J:
-            continue
-        wedge = np.array(exterior_power(g, j).to_float())
-        values, vectors = np.linalg.eig(wedge)
-        lead = int(np.argmax(values.real))
-        perron = _normalize_line(vectors[:, lead].real)
-        from_basis = _normalize_line(_wedge_of_leading_columns(basis, j))
-        from_split = _normalize_line(_wedge_of_leading_columns(first, j))
-        dev = max(float(np.max(np.abs(perron - from_basis))),
-                  float(np.max(np.abs(perron - from_split))))
+    for j, basis_dev, split_dev in _perron_deviations(g, J, ef, first):
+        dev = max(basis_dev, split_dev)
         out["per_j"][j] = dev
         out["max_deviation"] = max(out["max_deviation"], dev)
         if dev > tol.line_agreement:
@@ -451,26 +464,8 @@ def zeta_j(g: RationalMatrix, J: Iterable[int],
     """The positive parabolic of type J through g: split the Borel
     representative and keep the coset part.  Uniqueness is cross-checked
     through the wedge eigenlines; disagreement aborts."""
-    J = tuple(sorted(set(int(j) for j in J)))
-    lower, ef = _zeta_impl(g, tol)
-    return _parabolic_from_borel(g, J, lower, ef, tol)
-
-
-def _parabolic_from_borel(g: RationalMatrix, J: tuple, lower, ef: EigenFlag,
-                          tol: FloatTolerances) -> ParabolicPoint:
-    """The part of :func:`zeta_j` after the Borel step, given the output
-    ``(lower, ef)`` of ``_zeta_impl(g, tol)`` and a sorted J."""
-    first, _ = split_cell([list(r) for r in lower], J, atol=tol.split_atol)
-    basis = np.array(ef.basis)
-    for j in range(1, g.n):
-        if j in J:
-            continue
-        wedge = np.array(exterior_power(g, j).to_float())
-        values, vectors = np.linalg.eig(wedge)
-        lead = int(np.argmax(values.real))
-        perron = _normalize_line(vectors[:, lead].real)
-        from_basis = _normalize_line(_wedge_of_leading_columns(basis, j))
-        dev = float(np.max(np.abs(perron - from_basis)))
+    J, _, ef, first = _classify(g, J, tol)
+    for j, dev, _ in _perron_deviations(g, J, ef, first):
         if dev > tol.line_agreement:
             raise FlagComputationError(
                 f"wedge index {j}: leading eigenline deviates from the "
@@ -498,12 +493,10 @@ def gamma_p_point(P: ParabolicPoint, vparams: LusztigParams) -> FlagPoint:
 def check_partition(g: RationalMatrix, J: Iterable[int],
                     tol: FloatTolerances = DEFAULT_TOLERANCES) -> bool:
     """Does the Borel through g lie in the parabolic through g?  True iff
-    the coset part of the Borel representative equals the parabolic
-    representative (float comparison at the configured tolerance)."""
-    J = tuple(sorted(set(int(j) for j in J)))
-    lower, ef = _zeta_impl(g, tol)
-    first, _ = split_cell([list(r) for r in lower], J, atol=tol.split_atol)
-    parabolic = _parabolic_from_borel(g, J, lower, ef, tol)
-    a = np.array(first)
-    b = np.array(parabolic.rep_rows())
-    return float(np.max(np.abs(a - b))) <= tol.compare * max(1.0, float(np.max(np.abs(b))))
+    for each j outside J the first j columns of the Borel representative
+    span the same subspace as those of the parabolic representative: their
+    normalized wedge lines agree entrywise within ``tol.compare``."""
+    J, lower, _, first = _classify(g, J, tol)
+    borel, parabolic = _leading_lines(lower, J), _leading_lines(first, J)
+    return all(float(np.max(np.abs(borel[j] - parabolic[j]))) <= tol.compare
+               for j in borel)

@@ -25,7 +25,7 @@ from functools import lru_cache
 from typing import Optional
 
 from .errors import NotInCell
-from .exactmat import MAX_DIMENSION, RationalMatrix, _det, float_det
+from .exactmat import MAX_DIMENSION, RationalMatrix, _submatrix_det, float_det
 from .prng import SplitMix64, derive_seed
 from .weyl import WeylElement, is_reduced, longest_element, reduced_word
 
@@ -234,8 +234,9 @@ def extract_params(u, w: WeylElement, sign: str,
 
 
 def _minor_of_rows(rows, rset, cset, exact):
-    sub = [[rows[r - 1][c - 1] for c in cset] for r in rset]
-    return _det(sub) if exact else float_det(sub)
+    if exact:
+        return _submatrix_det(rows, rset, cset)
+    return float_det([[rows[r - 1][c - 1] for c in cset] for r in rset])
 
 
 def _evaluate_float(word, params, sign, n):
@@ -294,7 +295,7 @@ def _check_dimension(n: int):
 
 def _first_nonpositive(m: RationalMatrix, pairs) -> PositivityVerdict:
     for rows, cols in pairs:
-        value = m.minor(rows, cols)
+        value = _submatrix_det(m.rows, rows, cols)
         if value <= 0:
             return PositivityVerdict(False, MinorWitness(rows, cols, value,
                                                          "must be > 0"))

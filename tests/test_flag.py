@@ -5,9 +5,11 @@ from itertools import combinations
 import numpy as np
 import pytest
 
-from tpflag import (CellCoordinates, EigenvalueCollision, FlagPoint,
-                    LusztigParams, NotInFibre, NotPositive, ParabolicPoint,
-                    RationalMatrix, TorusPoint, check_partition, eigen_flag,
+import tpflag.flag as flag_module
+from tpflag import (CellCoordinates, EigenvalueCollision, FlagComputationError,
+                    FlagPoint, FloatTolerances, LusztigParams, NotInFibre,
+                    NotPositive, ParabolicPoint, RationalMatrix, TorusPoint,
+                    check_partition, eigen_flag,
                     evaluate_params, extract_params, gamma_p_point,
                     gauss_decompose, is_g_positive,
                     is_totally_positive_unitriangular, perron_line_check,
@@ -312,3 +314,41 @@ class TestPartition:
             g = sample_g_positive(n, seed)
             for J in all_parabolic_sets(n):
                 assert check_partition(g, J)
+
+
+class TestOneClassificationPass:
+    def test_check_partition_sees_a_moved_coset_entry(self, monkeypatch):
+        # a coset part whose leading columns no longer span the Borel's
+        # leading subspaces must fail the check
+        g = sample_g_positive(4, seed=3)
+        J = (2,)
+        assert check_partition(g, J)
+        real_split = flag_module.split_cell
+
+        def moved_split(u1, J, atol=None):
+            first, second = real_split(u1, J, atol=atol)
+            rows = [list(row) for row in first]
+            rows[3][0] += 1e-3
+            return tuple(tuple(row) for row in rows), second
+
+        monkeypatch.setattr(flag_module, "split_cell", moved_split)
+        assert not check_partition(g, J)
+
+    def test_zeta_j_and_perron_check_share_the_verdict(self):
+        # with a zero line tolerance every nonzero deviation fails; at this
+        # sample every first basis deviation is nonzero
+        g = sample_g_positive(4, seed=0)
+        strict = FloatTolerances(line_agreement=0.0)
+        for J in all_parabolic_sets(4):
+            outside = [j for j in range(1, 4) if j not in J]
+            chk = perron_line_check(g, J, strict)
+            assert list(chk["per_j"]) == outside
+            if not outside:
+                assert chk["ok"]
+                assert zeta_j(g, J, strict).J == J
+                continue
+            assert chk["ok"] is False
+            with pytest.raises(FlagComputationError,
+                               match=rf"^wedge index {outside[0]}: leading eigenline "
+                                     r"deviates from the eigenbasis wedge by \S+$"):
+                zeta_j(g, J, strict)
