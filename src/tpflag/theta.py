@@ -12,14 +12,16 @@ runner collects numerical evidence and treats failures as data.
 """
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 from fractions import Fraction
+from itertools import combinations
 from typing import Optional
 
 import numpy as np
 
 from .errors import NoConvergence, NotInTorusSet
-from .exactmat import RationalMatrix, float_det, perfect_nth_root
+from .exactmat import (RationalMatrix, _submatrix_det, float_det,
+                       perfect_nth_root)
 from .prng import SplitMix64, derive_seed
 from .totpos import (MinorWitness, PositivityVerdict, evaluate_params,
                      is_totally_positive_unitriangular,
@@ -220,20 +222,27 @@ def _float_membership(m, pairs, margin) -> tuple:
     return True, None
 
 
+def _domain_point(u: RationalMatrix, uprime: RationalMatrix, t: TorusPoint,
+                  margin: float) -> tuple:
+    """(t u t^-1 u'^-1, its lower positivity verdict): exact rows and the
+    exact test for rational coordinates, float rows and the float minor
+    test with the given margin otherwise."""
+    if t.is_exact:
+        m = torus_conjugate(t, u) @ uprime.inverse()
+        return m, is_totally_positive_unitriangular(m, "lower")
+    m = _conjugated_product_float(u.to_float(), uprime.inverse().to_float(),
+                                  t.coords)
+    ok, witness = _float_membership(m, relevant_minor_pairs(u.n, "lower"), margin)
+    return m, PositivityVerdict(ok, witness)
+
+
 def torus_set_membership(u: RationalMatrix, uprime: RationalMatrix,
                          t: TorusPoint, margin: float = 0.0) -> PositivityVerdict:
     """Does t stay in the open torus region attached to (u, u')?  True
     iff t u t^-1 u'^-1 is totally positive.  Exact for rational
     coordinates; float coordinates use the float minor test with the
     given margin."""
-    if t.is_exact:
-        m = torus_conjugate(t, u) @ uprime.inverse()
-        return is_totally_positive_unitriangular(m, "lower")
-    mf = _conjugated_product_float(u.to_float(), uprime.inverse().to_float(),
-                                   t.coords)
-    ok, witness = _float_membership(mf, relevant_minor_pairs(u.n, "lower"),
-                                    margin)
-    return PositivityVerdict(ok, witness)
+    return _domain_point(u, uprime, t, margin)[1]
 
 
 def theta_forward(u: RationalMatrix, uprime: RationalMatrix, t: TorusPoint) -> tuple:
@@ -241,24 +250,13 @@ def theta_forward(u: RationalMatrix, uprime: RationalMatrix, t: TorusPoint) -> t
     index; requires t inside the torus region (else NotInTorusSet).
     Exact when the coordinates are rational, float otherwise."""
     n = u.n
+    m, verdict = _domain_point(u, uprime, t, 0.0)
+    if not verdict.member:
+        raise NotInTorusSet(f"torus point outside the domain: "
+                            f"{verdict.witness.describe()}", verdict)
     if t.is_exact:
-        m = torus_conjugate(t, u) @ uprime.inverse()
-        verdict = is_totally_positive_unitriangular(m, "lower")
-        if not verdict.member:
-            raise NotInTorusSet(f"torus point outside the domain: "
-                                f"{verdict.witness.describe()}", verdict)
         return tuple(z_function(m, j) for j in range(1, n))
-    mf = _conjugated_product_float(u.to_float(), uprime.inverse().to_float(),
-                                   t.coords)
-    ok, witness = _float_membership(mf, relevant_minor_pairs(n, "lower"), 0.0)
-    if not ok:
-        raise NotInTorusSet(f"torus point outside the domain: {witness.describe()}",
-                            PositivityVerdict(False, witness))
-    out = []
-    for j in range(1, n):
-        sub = [[mf[r][c] for c in range(j)] for r in range(n - j, n)]
-        out.append(float_det(sub))
-    return tuple(out)
+    return tuple(float_det([row[:j] for row in m[n - j:]]) for j in range(1, n))
 
 
 # ---------------------------------------------------------------------------
@@ -346,7 +344,6 @@ class SolverConfig:
     start_box: float = 3.0
     membership_margin: float = 1e-14
     seed: int = 0
-    check_jacobian: bool = False
 
     def __post_init__(self):
         if self.starts < 1 or self.max_iterations < 1:
@@ -357,13 +354,7 @@ class SolverConfig:
                 raise ValueError(f"{name} must be > 0")
 
     def to_json_dict(self) -> dict:
-        return {"starts": self.starts, "max_iterations": self.max_iterations,
-                "newton_tolerance": self.newton_tolerance,
-                "residual_tolerance": self.residual_tolerance,
-                "cluster_threshold": self.cluster_threshold,
-                "start_box": self.start_box,
-                "membership_margin": self.membership_margin,
-                "seed": self.seed}
+        return asdict(self)
 
 
 @dataclass(frozen=True)
@@ -388,38 +379,19 @@ class SolveReport:
                 "converged": list(self.converged)}
 
 
-def _poly_mul(p: dict, q: dict) -> dict:
-    out = {}
-    for e1, c1 in p.items():
-        for e2, c2 in q.items():
-            e = tuple(x + y for x, y in zip(e1, e2))
-            out[e] = out.get(e, 0) + c1 * c2
-    return {e: c for e, c in out.items() if c != 0}
-
-
-def _poly_det(entries):
-    """Determinant of a square matrix of exponent-dict polynomials, by
-    Laplace expansion along the first column."""
-    size = len(entries)
-    if size == 1:
-        return entries[0][0]
-    out = {}
-    for r in range(size):
-        cell = entries[r][0]
-        if not cell:
-            continue
-        sub = [row[1:] for i, row in enumerate(entries) if i != r]
-        term = _poly_mul(cell, _poly_det(sub))
-        sign = 1 if r % 2 == 0 else -1
-        for e, c in term.items():
-            out[e] = out.get(e, 0) + sign * c
-    return {e: c for e, c in out.items() if c != 0}
-
-
 class ZSystem:
     """The target polynomials z_j(R) for fixed (u, u'), their partials,
-    and the float helpers the Newton solver needs.  Coefficients are
-    computed exactly, then frozen as floats for evaluation."""
+    and the float helpers the Newton solver needs.
+
+    By Cauchy-Binet, with I = {n-j+1..n} and S over the j-subsets of
+    {1..n},
+
+        z_j(R) = sum_S  D_{I,S}(u) * D_{S,[1..j]}(u'^-1) * R^e(S),
+        e(S)_m = #{i in I : i > m} - #{s in S : s > m},
+
+    since conjugating by t scales the minor D_{I,S}(u) by t_I / t_S.
+    Coefficients are summed exactly, then frozen as floats for
+    evaluation."""
 
     def __init__(self, u: RationalMatrix, uprime: RationalMatrix):
         n = u.n
@@ -429,35 +401,24 @@ class ZSystem:
             raise ValueError("inputs must be unit lower triangular")
         self.n = n
         self.dim = n - 1
+        binv = uprime.inverse()
         self._uf = u.to_float()
-        self._binv = uprime.inverse().to_float()
+        self._binv = binv.to_float()
         self._pairs = relevant_minor_pairs(n, "lower")
-
-        zero = tuple([0] * self.dim)
-        binv_exact = uprime.inverse().rows
-        # entry (i, l) of t u t^-1 carries the monomial R_l ... R_{i-1}
-        a_poly = [[{} for _ in range(n)] for _ in range(n)]
-        for i in range(n):
-            a_poly[i][i] = {zero: Fraction(1)}
-            for l in range(i):
-                if u.rows[i][l] != 0:
-                    exp = tuple(1 if l <= m < i else 0 for m in range(self.dim))
-                    a_poly[i][l] = {exp: u.rows[i][l]}
-        m_poly = [[{} for _ in range(n)] for _ in range(n)]
-        for i in range(n):
-            for k in range(n):
-                acc = {}
-                for l in range(n):
-                    if a_poly[i][l] and binv_exact[l][k] != 0:
-                        for e, c in a_poly[i][l].items():
-                            acc[e] = acc.get(e, 0) + c * binv_exact[l][k]
-                m_poly[i][k] = {e: c for e, c in acc.items() if c != 0}
 
         self._z_polys = []
         self._dz_polys = []
         for j in range(1, n):
-            sub = [[m_poly[r][c] for c in range(j)] for r in range(n - j, n)]
-            zp = _poly_det(sub)
+            rows = tuple(range(n - j + 1, n + 1))
+            zp = {}
+            for cols in combinations(range(1, n + 1), j):
+                c = _submatrix_det(u.rows, rows, cols)
+                if c:
+                    c *= _submatrix_det(binv.rows, cols, range(1, j + 1))
+                    e = tuple(sum(i > m for i in rows) - sum(s > m for s in cols)
+                              for m in range(1, n))
+                    zp[e] = zp.get(e, 0) + c
+            zp = {e: c for e, c in zp.items() if c != 0}
             self._z_polys.append(self._freeze(zp))
             self._dz_polys.append(tuple(self._freeze(self._diff(zp, i))
                                         for i in range(self.dim)))
@@ -501,23 +462,6 @@ class ZSystem:
         return _float_membership(self.matrix(R), self._pairs, margin)[0]
 
 
-def _check_jacobian_fd(zsys: ZSystem, R, tol: float = 1e-6):
-    """Central finite differences against the symbolic Jacobian."""
-    analytic = zsys.jacobian(R)
-    dim = zsys.dim
-    fd = np.zeros((dim, dim))
-    for i in range(dim):
-        h = 1e-6 * max(1.0, abs(R[i]))
-        rp, rm = list(R), list(R)
-        rp[i] += h
-        rm[i] -= h
-        fd[:, i] = (zsys.z_values(rp) - zsys.z_values(rm)) / (2 * h)
-    scale = max(1.0, float(np.max(np.abs(analytic))))
-    err = float(np.max(np.abs(analytic - fd))) / scale
-    if err > tol:
-        raise AssertionError(f"Jacobian mismatch vs finite differences: {err:.3g}")
-
-
 def _find_start(zsys: ZSystem, rng: SplitMix64, config: SolverConfig) -> np.ndarray:
     """Feasible start in log-coordinates: log-uniform in a box around 1,
     shifted upward on repeated failures (large coordinates always land
@@ -546,20 +490,21 @@ def _newton_from(zsys: ZSystem, x0: np.ndarray, log_target: np.ndarray,
         if float(np.max(np.abs(f))) <= config.newton_tolerance:
             return x, it, True
         jac = zsys.jacobian(R) * R[np.newaxis, :] / z[:, np.newaxis]
-        if config.check_jacobian and it == 1:
-            _check_jacobian_fd(zsys, R)
         try:
             step = np.linalg.solve(jac, -f)
         except np.linalg.LinAlgError:
             return x, it, False
         lam = 1.0
-        while lam >= 2.0 ** -60:
-            cand = x + lam * step
-            if zsys.membership(np.exp(cand), config.membership_margin):
-                break
-            lam *= 0.5
-        else:
-            return x, it, False
+        # an overflowing coordinate is outside the domain, and the float
+        # minor test already rejects it
+        with np.errstate(over="ignore"):
+            while lam >= 2.0 ** -60:
+                cand = x + lam * step
+                if zsys.membership(np.exp(cand), config.membership_margin):
+                    break
+                lam *= 0.5
+            else:
+                return x, it, False
         x = cand
     return x, config.max_iterations, False
 

@@ -2,10 +2,13 @@
 package.  Deliberately written with different algorithms than the code
 under test (permutation sums instead of elimination, descent recursion
 instead of the greedy word builder, brute force over every minor
-instead of the minimal-minor positivity tests)."""
+instead of the minimal-minor positivity tests, central finite
+differences instead of the symbolic Jacobian)."""
 
 from fractions import Fraction
 from itertools import combinations, permutations
+
+import numpy as np
 
 from tpflag import (DecompositionUnavailable, gauss_decompose,
                     is_totally_positive_unitriangular)
@@ -121,3 +124,20 @@ def factorization_positive(g) -> bool:
     return (all(d > 0 for d in factors.torus.diagonal_entries())
             and is_totally_positive_unitriangular(factors.upper, "upper").member
             and is_totally_positive_unitriangular(factors.lower, "lower").member)
+
+
+def fd_jacobian_error(zsys, R) -> float:
+    """Largest gap between the symbolic Jacobian of a ZSystem and central
+    finite differences of its z values at R, relative to the largest
+    Jacobian entry (or 1)."""
+    analytic = zsys.jacobian(R)
+    dim = zsys.dim
+    fd = np.zeros((dim, dim))
+    for i in range(dim):
+        h = 1e-6 * max(1.0, abs(R[i]))
+        rp, rm = list(R), list(R)
+        rp[i] += h
+        rm[i] -= h
+        fd[:, i] = (zsys.z_values(rp) - zsys.z_values(rm)) / (2 * h)
+    scale = max(1.0, float(np.max(np.abs(analytic))))
+    return float(np.max(np.abs(analytic - fd))) / scale

@@ -6,13 +6,15 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from tpflag import (NoConvergence, NotInTorusSet, RationalMatrix, SolverConfig,
-                    ThetaInstance, TorusPoint, evaluate_params, exterior_power,
-                    sample_positive, sample_torus_in_domain, sl3_root_pair,
-                    theta_forward, theta_inverse_numeric, theta_inverse_sl2,
-                    theta_inverse_sl3, torus_conjugate, torus_set_membership,
-                    z_function)
+                    ThetaInstance, TorusPoint, ZSystem, evaluate_params,
+                    exterior_power, sample_positive, sample_torus_in_domain,
+                    sl3_root_pair, theta_forward, theta_inverse_numeric,
+                    theta_inverse_sl2, theta_inverse_sl3, torus_conjugate,
+                    torus_set_membership, z_function)
 from tpflag.prng import SplitMix64, derive_seed
 from tpflag.weyl import longest_element
+
+from oracles import fd_jacobian_error
 
 positive_fractions = st.fractions(min_value=F(1, 5), max_value=5, max_denominator=8)
 
@@ -23,6 +25,18 @@ def w0(n):
 
 def lower_cell_point(n, seed, scale=4):
     return evaluate_params(sample_positive(w0(n), "lower", seed, scale), "lower", n)
+
+
+def zero_heavy_lower(n, seed):
+    """Unit lower triangular with about two thirds of the entries below
+    the diagonal zero and the rest of either sign."""
+    rng = SplitMix64(seed)
+    rows = [[F(int(i == k)) for k in range(n)] for i in range(n)]
+    for i in range(n):
+        for k in range(i):
+            if rng.randint(3) == 0:
+                rows[i][k] = rng.fraction(4) * (1 if rng.randint(2) else -1)
+    return RationalMatrix.from_rows(rows)
 
 
 def sl3_coords(u):
@@ -257,12 +271,17 @@ class TestNumericInverse:
             rng = SplitMix64(derive_seed(seed, 2))
             z = (rng.fraction(5), rng.fraction(5))
             exact = theta_inverse_sl3(u, uprime, z)
-            report = theta_inverse_numeric(
-                u, uprime, z,
-                SolverConfig(seed=derive_seed(seed, 3), check_jacobian=True))
+            report = theta_inverse_numeric(u, uprime, z,
+                                           SolverConfig(seed=derive_seed(seed, 3)))
             assert report.distinct_limits == 1
             for got, want in zip(report.solution.coords, exact.coords):
                 assert abs(got - float(want)) / float(want) < 1e-10
+            zsys = ZSystem(u, uprime)
+            points = [list(report.solution.coords)]
+            points += [[math.exp(rng.uniform(-3, 3)) for _ in range(2)]
+                       for _ in range(5)]
+            for R in points:
+                assert fd_jacobian_error(zsys, R) <= 1e-6
 
     def test_no_convergence_is_loud(self):
         u = lower_cell_point(3, seed=1)
@@ -286,6 +305,30 @@ class TestNumericInverse:
         r1 = theta_inverse_numeric(u, uprime, z, SolverConfig(seed=77))
         r2 = theta_inverse_numeric(u, uprime, z, SolverConfig(seed=77))
         assert r1 == r2
+
+
+class TestZSystem:
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+    def test_matches_minors_of_the_conjugated_product(self, n):
+        # the Cauchy-Binet tables against a matrix product and a Bareiss
+        # minor, on totally positive pairs and on zero-heavy unit-lower
+        # pairs with entries of either sign
+        for k in range(8):
+            seed = derive_seed(n, k)
+            sample = zero_heavy_lower if k % 2 else lower_cell_point
+            u = sample(n, derive_seed(seed, 1))
+            uprime = sample(n, derive_seed(seed, 2))
+            zsys = ZSystem(u, uprime)
+            rng = SplitMix64(derive_seed(seed, 3))
+            R = tuple(rng.fraction(4) for _ in range(n - 1))
+            Rf = [float(r) for r in R]
+            m = torus_conjugate(TorusPoint(R), u) @ uprime.inverse()
+            got = zsys.z_values(Rf)
+            for j in range(1, n):
+                terms = sum(abs(c) * math.prod(x ** p for x, p in zip(Rf, e))
+                            for c, e in zsys._z_polys[j - 1])
+                assert abs(got[j - 1] - float(z_function(m, j))) <= 1e-12 * terms
+            assert fd_jacobian_error(zsys, Rf) <= 1e-6
 
 
 class TestCampaign:
