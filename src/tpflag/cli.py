@@ -306,12 +306,12 @@ def build_parser() -> argparse.ArgumentParser:
                          help="instance JSON file with u, uprime and t or z")
     p_theta.add_argument("--method", default="auto",
                          choices=("auto", "closed", "numeric"))
-    p_theta.add_argument("--starts", type=int, default=10)
-    p_theta.add_argument("--max-iterations", type=int, default=60)
-    p_theta.add_argument("--newton-tol", type=float, default=1e-12)
-    p_theta.add_argument("--residual-tol", type=float, default=1e-9)
-    p_theta.add_argument("--cluster-threshold", type=float, default=1e-6)
-    p_theta.add_argument("--seed", type=int, default=0)
+    for flag, field in (("--starts", "starts"), ("--max-iterations", "max_iterations"),
+                        ("--newton-tol", "newton_tolerance"),
+                        ("--residual-tol", "residual_tolerance"),
+                        ("--cluster-threshold", "cluster_threshold"), ("--seed", "seed")):
+        default = getattr(SolverConfig, field)
+        p_theta.add_argument(flag, type=type(default), default=default)
     p_theta.set_defaults(func=cmd_theta)
 
     p_verify = sub.add_parser("verify",

@@ -80,7 +80,6 @@ class RationalMatrix:
     def __matmul__(self, other: "RationalMatrix") -> "RationalMatrix":
         if self.n != other.n:
             raise ValueError("dimension mismatch")
-        n = self.n
         cols = tuple(zip(*other.rows))
         return RationalMatrix(tuple(
             tuple(sum(a * b for a, b in zip(row, col)) for col in cols)

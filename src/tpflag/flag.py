@@ -28,8 +28,8 @@ from .theta import (SolverConfig, TorusPoint, theta_forward, theta_inverse_numer
                     _float_membership)
 from .totpos import (LusztigParams, evaluate_params, extract_params,
                      is_g_positive, is_totally_positive_unitriangular,
-                     relevant_minor_pairs, _evaluate_float)
-from .weyl import concat_is_reduced, length, longest_element, reduced_word
+                     relevant_minor_pairs, _evaluate_rows)
+from .weyl import length, longest_element, reduced_word
 
 
 def _sorted_letters(J) -> tuple:
@@ -373,13 +373,7 @@ def _split_words(J, n: int):
     w0 = longest_element(range(1, n), n)
     w0J = longest_element(J, n)
     w0_w0J = w0 * w0J
-    if not concat_is_reduced(w0_w0J, w0J):
-        raise RuntimeError("length additivity failed for the coset "
-                           "factorization; this is a bug")
-    word = reduced_word(w0_w0J) + reduced_word(w0J)
-    if len(word) != length(w0):
-        raise RuntimeError("concatenated word has wrong length; this is a bug")
-    return w0, w0_w0J, w0J, word
+    return w0, w0_w0J, w0J, reduced_word(w0_w0J) + reduced_word(w0J)
 
 
 def split_cell(u1, J: Iterable[int], atol: Optional[float] = None):
@@ -392,18 +386,11 @@ def split_cell(u1, J: Iterable[int], atol: Optional[float] = None):
     J = _sorted_letters(J)
     w0, w0_w0J, w0J, word = _split_words(J, n)
     cut = length(w0_w0J)
-    params = extract_params(u1, w0, "lower", word=word, atol=atol)
-    first_word, second_word = word[:cut], word[cut:]
-    first_params, second_params = params.params[:cut], params.params[cut:]
+    params = extract_params(u1, w0, "lower", word=word, atol=atol).params
+    parts = ((word[:cut], params[:cut]), (word[cut:], params[cut:]))
     if exact:
-        first = evaluate_params(LusztigParams(first_word, first_params), "lower", n)
-        second = evaluate_params(LusztigParams(second_word, second_params), "lower", n)
-    else:
-        first = tuple(tuple(row) for row in
-                      _evaluate_float(first_word, first_params, "lower", n))
-        second = tuple(tuple(row) for row in
-                       _evaluate_float(second_word, second_params, "lower", n))
-    return first, second
+        return tuple(evaluate_params(LusztigParams(w, p), "lower", n) for w, p in parts)
+    return tuple(_float_rows(_evaluate_rows(w, p, "lower", n, float)) for w, p in parts)
 
 
 def _leading_lines(rows, J: tuple) -> dict:

@@ -170,44 +170,48 @@ def z_function(u, j: int):
     return u.minor(tuple(range(n - j + 1, n + 1)), tuple(range(1, j + 1)))
 
 
-def torus_conjugate(t: TorusPoint, u: RationalMatrix) -> RationalMatrix:
-    """Exact conjugation t u t^-1 of a unit lower triangular matrix:
-    entry (i, k) with i > k scales by the product of coords k..i-1."""
+def _conjugate_rows(u, coords, num) -> list:
+    """Rows of t u t^-1 for unit lower u in ``num`` arithmetic
+    (``Fraction`` or ``float``): entry (i, k) with i > k scales by
+    prefix[i] / prefix[k], the product of coords k..i-1."""
+    n = len(u)
+    one = num(1)
+    prefix = [one]
+    for c in coords:
+        prefix.append(prefix[-1] * num(c))
+    rows = [[num(0)] * n for _ in range(n)]
+    for i in range(n):
+        rows[i][i] = one
+        for k in range(i):
+            rows[i][k] = num(u[i][k]) * (prefix[i] / prefix[k])
+    return rows
+
+
+def _conjugated_product(u, binv, coords, num) -> list:
+    """Rows of t u t^-1 u'^-1 from u and binv = u'^-1 (already in ``num``).
+    Both are unit lower, so only l = k..i contribute, and entry (i, k)
+    reads columns k..i of its row of t u t^-1: rows update in place."""
+    rows = _conjugate_rows(u, coords, num)
+    for i, row in enumerate(rows):
+        for k in range(i):
+            row[k] = sum(row[l] * binv[l][k] for l in range(k, i + 1))
+    return rows
+
+
+def _check_conjugation(t: TorusPoint, u: RationalMatrix):
     if not t.is_exact:
         raise ValueError("exact conjugation needs rational coordinates")
     if not u.is_unit_triangular("lower"):
         raise ValueError("input is not unit lower triangular")
-    n = u.n
-    if t.n != n:
+    if t.n != u.n:
         raise ValueError("torus point size does not match the matrix")
-    rows = [list(row) for row in u.rows]
-    for i in range(n):
-        for k in range(i):
-            factor = Fraction(1)
-            for m in range(k, i):
-                factor *= t.coords[m]
-            rows[i][k] = rows[i][k] * factor
-    return RationalMatrix.from_rows(rows)
 
 
-def _conjugated_product_float(u, uprime_inv, coords):
-    """Float t u t^-1 u'^-1 for float coordinate work."""
-    n = len(u)
-    prefix = [1.0]
-    for c in coords:
-        prefix.append(prefix[-1] * float(c))
-    a = [[0.0] * n for _ in range(n)]
-    for i in range(n):
-        a[i][i] = 1.0
-        for k in range(i):
-            a[i][k] = float(u[i][k]) * (prefix[i] / prefix[k])
-    # both factors are unit lower: the product is too, and the terms
-    # outside l = k..i are exact zeros
-    out = [[float(i == k) for k in range(n)] for i in range(n)]
-    for i in range(n):
-        for k in range(i):
-            out[i][k] = sum(a[i][l] * uprime_inv[l][k] for l in range(k, i + 1))
-    return out
+def torus_conjugate(t: TorusPoint, u: RationalMatrix) -> RationalMatrix:
+    """Exact conjugation t u t^-1 of a unit lower triangular matrix:
+    entry (i, k) with i > k scales by the product of coords k..i-1."""
+    _check_conjugation(t, u)
+    return RationalMatrix(_conjugate_rows(u.rows, t.coords, Fraction))
 
 
 def _float_membership(m, pairs, margin) -> tuple:
@@ -222,16 +226,21 @@ def _float_membership(m, pairs, margin) -> tuple:
     return True, None
 
 
-def _domain_point(u: RationalMatrix, uprime: RationalMatrix, t: TorusPoint,
+def _domain_point(u: RationalMatrix, binv: RationalMatrix, t: TorusPoint,
                   margin: float) -> tuple:
-    """(t u t^-1 u'^-1, its lower positivity verdict): exact rows and the
-    exact test for rational coordinates, float rows and the float minor
-    test with the given margin otherwise."""
+    """(t u t^-1 u'^-1, its lower positivity verdict) from binv = u'^-1:
+    exact rows and the exact test for rational coordinates, float rows
+    and the float minor test with the given margin otherwise."""
     if t.is_exact:
-        m = torus_conjugate(t, u) @ uprime.inverse()
+        # the kernel reads only the lower triangles of same-size inputs
+        _check_conjugation(t, u)
+        if binv.n != u.n:
+            raise ValueError("dimension mismatch")
+        if not binv.is_unit_triangular("lower"):
+            raise ValueError("input is not unit lower triangular")
+        m = RationalMatrix(_conjugated_product(u.rows, binv.rows, t.coords, Fraction))
         return m, is_totally_positive_unitriangular(m, "lower")
-    m = _conjugated_product_float(u.to_float(), uprime.inverse().to_float(),
-                                  t.coords)
+    m = _conjugated_product(u.rows, binv.to_float(), t.coords, float)
     ok, witness = _float_membership(m, relevant_minor_pairs(u.n, "lower"), margin)
     return m, PositivityVerdict(ok, witness)
 
@@ -242,7 +251,7 @@ def torus_set_membership(u: RationalMatrix, uprime: RationalMatrix,
     iff t u t^-1 u'^-1 is totally positive.  Exact for rational
     coordinates; float coordinates use the float minor test with the
     given margin."""
-    return _domain_point(u, uprime, t, margin)[1]
+    return _domain_point(u, uprime.inverse(), t, margin)[1]
 
 
 def theta_forward(u: RationalMatrix, uprime: RationalMatrix, t: TorusPoint) -> tuple:
@@ -250,7 +259,7 @@ def theta_forward(u: RationalMatrix, uprime: RationalMatrix, t: TorusPoint) -> t
     index; requires t inside the torus region (else NotInTorusSet).
     Exact when the coordinates are rational, float otherwise."""
     n = u.n
-    m, verdict = _domain_point(u, uprime, t, 0.0)
+    m, verdict = _domain_point(u, uprime.inverse(), t, 0.0)
     if not verdict.member:
         raise NotInTorusSet(f"torus point outside the domain: "
                             f"{verdict.witness.describe()}", verdict)
@@ -456,7 +465,7 @@ class ZSystem:
                           for i in range(self.dim)] for j in range(self.dim)])
 
     def matrix(self, R):
-        return _conjugated_product_float(self._uf, self._binv, R)
+        return _conjugated_product(self._uf, self._binv, R, float)
 
     def membership(self, R, margin: float) -> bool:
         return _float_membership(self.matrix(R), self._pairs, margin)[0]
@@ -574,11 +583,11 @@ def sample_torus_in_domain(u: RationalMatrix, uprime: RationalMatrix,
     by rejection with geometric growth (large coordinates are always
     inside, so this terminates)."""
     rng = SplitMix64(seed)
+    binv = uprime.inverse()
     for attempt in range(64):
         growth = Fraction(2) ** min(attempt, 30)
-        coords = tuple(growth * rng.fraction(scale) for _ in range(u.n - 1))
-        t = TorusPoint(coords)
-        if torus_set_membership(u, uprime, t).member:
+        t = TorusPoint(tuple(growth * rng.fraction(scale) for _ in range(u.n - 1)))
+        if _domain_point(u, binv, t, 0.0)[1].member:
             return t
     raise NoConvergence("could not sample a torus point in the domain")
 

@@ -3,10 +3,11 @@ coordinates on the cells of unit-triangular matrices.
 
 A cell point is an ordered product of elementary factors along a reduced
 word: letter i with parameter a contributes I + a*E_{i+1,i} on the lower
-side and I + a*E_{i,i+1} on the upper side.  With the full-reversal word
-and strictly positive parameters these products sweep out exactly the
-totally positive unit-triangular matrices, which is what the membership
-tests characterize via minors.
+side and I + a*E_{i,i+1} on the upper side, and the product is formed
+by column updates.  With the full-reversal word and strictly positive
+parameters these products sweep out exactly the totally positive
+unit-triangular matrices, which is what the membership tests
+characterize via minors.
 
 Each membership test checks only a minimal set of minors: the n(n-1)/2
 corner minors for a unit-triangular matrix (Fomin & Zelevinsky) and the
@@ -14,9 +15,9 @@ n^2 initial minors for an element of SL_n (Gasca & Peña).  The
 brute-force all-minors criteria they replace live on as oracles in the
 test suite (``tests/oracles.py``).
 
-Everything here is exact rational arithmetic.  The only float-aware code
-path is parameter extraction, which the flag pipeline reuses on float
-matrices by passing an explicit tolerance.
+Everything here is exact rational arithmetic.  Cell evaluation and
+parameter extraction also run on floats, for the flag pipeline;
+extraction then needs an explicit tolerance.
 """
 
 from dataclasses import dataclass
@@ -105,31 +106,29 @@ class PositivityVerdict:
 # Evaluation: parameters -> matrix
 
 
-def elementary(i: int, a, sign: str, n: int) -> RationalMatrix:
-    """The elementary factor for letter i: identity plus a single
-    off-diagonal entry a at (i+1, i) for 'lower', (i, i+1) for 'upper'."""
+def _evaluate_rows(word, params, sign: str, n: int, num) -> list:
+    """Rows of the cell point along ``word`` in ``num`` arithmetic
+    (``Fraction`` or ``float``).  Right-multiplying by the factor of
+    letter i adds a times one column to its neighbour."""
     _check_sign(sign)
-    if not 1 <= i <= n - 1:
-        raise ValueError(f"letter out of range 1..{n - 1}: {i}")
-    rows = [[Fraction(int(r == c)) for c in range(n)] for r in range(n)]
-    if sign == "lower":
-        rows[i][i - 1] = Fraction(a)
-    else:
-        rows[i - 1][i] = Fraction(a)
-    return RationalMatrix.from_rows(rows)
+    rows = [[num(r == c) for c in range(n)] for r in range(n)]
+    for i, a in zip(word, params):
+        if not 1 <= i <= n - 1:
+            raise ValueError(f"letter out of range 1..{n - 1}: {i}")
+        a = num(a)
+        src, dst = (i, i - 1) if sign == "lower" else (i - 1, i)
+        for r in range(n):
+            rows[r][dst] += a * rows[r][src]
+    return rows
 
 
 def evaluate_params(p: LusztigParams, sign: str, n: int) -> RationalMatrix:
     """Ordered product of elementary factors along the word, left to
-    right.  The result is unit triangular of the requested sign; with a
-    reduced word for the full reversal and positive parameters it is
-    totally positive.
+    right, formed exactly by column updates.  The result is unit
+    triangular of the requested sign; with a reduced word for the full
+    reversal and positive parameters it is totally positive.
     """
-    _check_sign(sign)
-    out = RationalMatrix.identity(n)
-    for i, a in zip(p.word, p.params):
-        out = out @ elementary(i, a, sign, n)
-    return out
+    return RationalMatrix(_evaluate_rows(p.word, p.params, sign, n, Fraction))
 
 
 # ---------------------------------------------------------------------------
@@ -237,20 +236,6 @@ def _minor_of_rows(rows, rset, cset, exact):
     if exact:
         return _submatrix_det(rows, rset, cset)
     return float_det([[rows[r - 1][c - 1] for c in cset] for r in rset])
-
-
-def _evaluate_float(word, params, sign, n):
-    out = [[float(r == c) for c in range(n)] for r in range(n)]
-    for i, a in zip(word, params):
-        a = float(a)
-        # right-multiply by the elementary factor: one column update
-        if sign == "lower":
-            src, dst = i, i - 1
-        else:
-            src, dst = i - 1, i
-        for r in range(n):
-            out[r][dst] += a * out[r][src]
-    return out
 
 
 # ---------------------------------------------------------------------------

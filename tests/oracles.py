@@ -3,14 +3,15 @@ package.  Deliberately written with different algorithms than the code
 under test (permutation sums instead of elimination, descent recursion
 instead of the greedy word builder, brute force over every minor
 instead of the minimal-minor positivity tests, central finite
-differences instead of the symbolic Jacobian)."""
+differences instead of the symbolic Jacobian, full elementary matrices
+multiplied out instead of column updates)."""
 
 from fractions import Fraction
 from itertools import combinations, permutations
 
 import numpy as np
 
-from tpflag import (DecompositionUnavailable, gauss_decompose,
+from tpflag import (DecompositionUnavailable, RationalMatrix, gauss_decompose,
                     is_totally_positive_unitriangular)
 from tpflag.weyl import WeylElement
 
@@ -32,6 +33,20 @@ def permutation_sum_det(rows) -> Fraction:
 def permutation_sum_minor(m, rowset, colset) -> Fraction:
     sub = [[m.rows[r - 1][c - 1] for c in colset] for r in rowset]
     return permutation_sum_det(sub)
+
+
+def elementary(i: int, a, sign: str, n: int) -> RationalMatrix:
+    """The elementary factor for letter i as a full matrix: identity plus
+    a single off-diagonal entry a at (i+1, i) for 'lower', (i, i+1) for
+    'upper'."""
+    if not 1 <= i <= n - 1:
+        raise ValueError(f"letter out of range 1..{n - 1}: {i}")
+    rows = [[Fraction(int(r == c)) for c in range(n)] for r in range(n)]
+    if sign == "lower":
+        rows[i][i - 1] = Fraction(a)
+    else:
+        rows[i - 1][i] = Fraction(a)
+    return RationalMatrix.from_rows(rows)
 
 
 def all_reduced_words(w: WeylElement) -> set:

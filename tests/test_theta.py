@@ -7,14 +7,16 @@ from hypothesis import strategies as st
 
 from tpflag import (NoConvergence, NotInTorusSet, RationalMatrix, SolverConfig,
                     ThetaInstance, TorusPoint, ZSystem, evaluate_params,
-                    exterior_power, sample_positive, sample_torus_in_domain,
+                    exterior_power, is_totally_positive_unitriangular,
+                    sample_positive, sample_torus_in_domain,
                     sl3_root_pair, theta_forward, theta_inverse_numeric,
                     theta_inverse_sl2, theta_inverse_sl3, torus_conjugate,
                     torus_set_membership, z_function)
 from tpflag.prng import SplitMix64, derive_seed
+from tpflag.theta import _conjugated_product, _domain_point
 from tpflag.weyl import longest_element
 
-from oracles import fd_jacobian_error
+from oracles import brute_force_unitriangular, fd_jacobian_error
 
 positive_fractions = st.fractions(min_value=F(1, 5), max_value=5, max_denominator=8)
 
@@ -37,6 +39,43 @@ def zero_heavy_lower(n, seed):
             if rng.randint(3) == 0:
                 rows[i][k] = rng.fraction(4) * (1 if rng.randint(2) else -1)
     return RationalMatrix.from_rows(rows)
+
+
+def prefix_diagonal(coords):
+    """diag(1, c1, c1 c2, ...): conjugating by it is conjugating by t."""
+    entries = [F(1)]
+    for c in coords:
+        entries.append(entries[-1] * c)
+    return RationalMatrix.diagonal(entries)
+
+
+def coords_inside(u, uprime, rng):
+    """Rational coordinates inside the domain of (u, u'), found by growth
+    and checked through full matrix products, not the conjugation kernel."""
+    binv = uprime.inverse()
+    for attempt in range(64):
+        coords = tuple(F(2) ** attempt * rng.fraction(6) for _ in range(u.n - 1))
+        d = prefix_diagonal(coords)
+        if is_totally_positive_unitriangular(d @ u @ d.inverse() @ binv, "lower").member:
+            return coords
+    raise AssertionError("no coordinates inside the domain")
+
+
+def kernel_cases(n, count=8):
+    """(u, u', rational coords): half the u are totally positive, half
+    zero-heavy and signed.  A quarter of the coordinates lie inside the
+    domain, the rest spread over a few octaves, so the domain verdict
+    comes out both ways."""
+    rng = SplitMix64(derive_seed(n, 77))
+    for seed in range(count):
+        u = lower_cell_point(n, seed) if seed % 2 else zero_heavy_lower(n, seed)
+        uprime = lower_cell_point(n, seed + 40)
+        if seed % 4 == 1:
+            coords = coords_inside(u, uprime, rng)
+        else:
+            coords = tuple(rng.fraction(6) * F(2) ** (rng.randint(9) - 2)
+                           for _ in range(n - 1))
+        yield u, uprime, coords
 
 
 def sl3_coords(u):
@@ -98,6 +137,43 @@ class TestTorusConjugate:
         assert got.rows[2][0] == R * S * 7
         assert got.rows[1][0] == R
         assert got.rows[2][1] == S
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+    def test_matches_diagonal_conjugation(self, n):
+        for u, _, coords in kernel_cases(n):
+            d = prefix_diagonal(coords)
+            assert torus_conjugate(TorusPoint(coords), u) == d @ u @ d.inverse()
+
+
+class TestConjugatedProduct:
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+    def test_exact_matches_full_product_and_brute_force(self, n):
+        verdicts = set()
+        for u, uprime, coords in kernel_cases(n):
+            t = TorusPoint(coords)
+            expected = torus_conjugate(t, u) @ uprime.inverse()
+            m, verdict = _domain_point(u, uprime.inverse(), t, 0.0)
+            assert m == expected
+            assert verdict.member == brute_force_unitriangular(expected, "lower")
+            assert torus_set_membership(u, uprime, t).member == verdict.member
+            verdicts.add(verdict.member)
+        assert verdicts == {True, False}
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+    def test_float_matches_exact(self, n):
+        for u, uprime, coords in kernel_cases(n):
+            binv = uprime.inverse()
+            exact = _conjugated_product(u.rows, binv.rows, coords, F)
+            approx = _conjugated_product(u.rows, binv.to_float(),
+                                         tuple(float(c) for c in coords), float)
+            # relative to the sum of |terms| of each entry, which bounds
+            # the rounding error even where the terms cancel
+            terms = _conjugated_product([[abs(x) for x in row] for row in u.rows],
+                                        [[abs(x) for x in row] for row in binv.rows],
+                                        coords, F)
+            for i in range(n):
+                for k in range(n):
+                    assert abs(approx[i][k] - float(exact[i][k])) <= 1e-12 * terms[i][k]
 
 
 class TestTorusPoint:

@@ -9,19 +9,31 @@ from tpflag import (LusztigParams, NotInCell, RationalMatrix,
                     is_totally_positive_unitriangular, relevant_minor_pairs,
                     sample_g_positive, sample_positive, sample_torus_matrix)
 from tpflag.prng import SplitMix64, derive_seed
-from tpflag.totpos import _initial_minor_pairs, elementary
+from tpflag.totpos import _evaluate_rows, _initial_minor_pairs
 from tpflag.weyl import WeylElement, longest_element, reduced_word
 
 from oracles import (all_reduced_words, brute_force_g_positive,
-                     brute_force_unitriangular, corner_pairs,
+                     brute_force_unitriangular, corner_pairs, elementary,
                      factorization_positive, initial_pairs, nonvanishing_pairs,
                      permutation_sum_minor)
 
 positive_fractions = st.fractions(min_value=F(1, 6), max_value=6, max_denominator=6)
 
 
+SIZES_AND_SIGNS = [(n, sign) for n in range(2, 7) for sign in ("lower", "upper")]
+
+
 def w0(n):
     return longest_element(range(1, n), n)
+
+
+# up to 12 (letter seed, parameter) pairs; letter_word reads them as a
+# word of in-range letters for any n, reduced or not
+letter_draws = st.lists(st.tuples(st.integers(0, 59), positive_fractions), max_size=12)
+
+
+def letter_word(draws, n):
+    return (tuple(1 + x % (n - 1) for x, _ in draws), tuple(a for _, a in draws))
 
 
 def size_colex(pair):
@@ -95,12 +107,31 @@ class TestEvaluateParams:
         # a = p+r, b = q, c = rq has ab - c = pq > 0 automatically
         assert got.minor((2, 3), (1, 2)) == p * q
 
-    @given(positive_fractions, positive_fractions, positive_fractions)
-    def test_matches_direct_elementary_product(self, a, b, c):
-        params = LusztigParams((2, 1, 2), (a, b, c))
-        direct = (elementary(2, a, "lower", 3) @ elementary(1, b, "lower", 3)
-                  @ elementary(2, c, "lower", 3))
-        assert evaluate_params(params, "lower", 3) == direct
+    @given(letter_draws)
+    def test_matches_direct_elementary_product(self, draws):
+        for n, sign in SIZES_AND_SIGNS:
+            word, params = letter_word(draws, n)
+            direct = RationalMatrix.identity(n)
+            for i, a in zip(word, params):
+                direct = direct @ elementary(i, a, sign, n)
+            assert evaluate_params(LusztigParams(word, params), sign, n) == direct
+
+    @given(letter_draws)
+    def test_float_rows_match_exact(self, draws):
+        for n, sign in SIZES_AND_SIGNS:
+            word, params = letter_word(draws, n)
+            exact = _evaluate_rows(word, params, sign, n, F)
+            approx = _evaluate_rows(word, params, sign, n, float)
+            scale = max(1, max(abs(x) for row in exact for x in row))
+            assert all(abs(a - float(x)) <= 1e-12 * scale
+                       for ra, rx in zip(approx, exact) for a, x in zip(ra, rx))
+
+    @pytest.mark.parametrize("num", [F, float])
+    def test_letter_out_of_range_in_both_modes(self, num):
+        for n, sign in SIZES_AND_SIGNS:
+            for bad in (0, n):
+                with pytest.raises(ValueError, match="letter out of range"):
+                    _evaluate_rows((1, bad), (num(1), num(2)), sign, n, num)
 
     def test_upper_is_transpose_of_reversed_lower(self):
         params = LusztigParams((1, 2, 1), (F(2), F(3), F(5)))
