@@ -21,11 +21,11 @@ from typing import Iterable, Optional
 import numpy as np
 
 from .errors import (EigenvalueCollision, FlagComputationError,
-                     MembershipViolation, NotInCell, NotInFibre, NotPositive)
+                     MembershipViolation, NotInCell, NotInFibre, NotInTorusSet,
+                     NotPositive)
 from .exactmat import RationalMatrix, colex_subsets, exterior_power, gauss_decompose
 from .theta import (SolverConfig, TorusPoint, theta_forward, theta_inverse_numeric,
-                    theta_inverse_sl2, theta_inverse_sl3, torus_set_membership,
-                    _float_membership)
+                    theta_inverse_sl2, theta_inverse_sl3, _float_membership)
 from .totpos import (LusztigParams, evaluate_params, extract_params,
                      is_g_positive, is_totally_positive_unitriangular,
                      relevant_minor_pairs, _evaluate_rows)
@@ -321,12 +321,12 @@ def sigma_b(g: RationalMatrix, B: FlagPoint) -> CellCoordinates:
             "argument") from exc
     tau = TorusPoint.from_matrix(t_factor).inverse()
     w_minus = gauss_decompose(uprime @ v).lower
-    membership = torus_set_membership(w_minus, uprime, tau)
-    if not membership.member:
+    try:
+        zvec = theta_forward(w_minus, uprime, tau)
+    except NotInTorusSet as exc:
         raise MembershipViolation(
             "implied torus-domain membership failed: "
-            + membership.witness.describe())
-    zvec = theta_forward(w_minus, uprime, tau)
+            + exc.verdict.witness.describe()) from exc
     return CellCoordinates(v=vparams, zvec=zvec)
 
 
@@ -373,7 +373,7 @@ def _split_words(J, n: int):
     w0 = longest_element(range(1, n), n)
     w0J = longest_element(J, n)
     w0_w0J = w0 * w0J
-    return w0, w0_w0J, w0J, reduced_word(w0_w0J) + reduced_word(w0J)
+    return w0, w0_w0J, reduced_word(w0_w0J) + reduced_word(w0J)
 
 
 def split_cell(u1, J: Iterable[int], atol: Optional[float] = None):
@@ -384,7 +384,7 @@ def split_cell(u1, J: Iterable[int], atol: Optional[float] = None):
     exact = isinstance(u1, RationalMatrix)
     n = u1.n if exact else len(u1)
     J = _sorted_letters(J)
-    w0, w0_w0J, w0J, word = _split_words(J, n)
+    w0, w0_w0J, word = _split_words(J, n)
     cut = length(w0_w0J)
     params = extract_params(u1, w0, "lower", word=word, atol=atol).params
     parts = ((word[:cut], params[:cut]), (word[cut:], params[cut:]))
@@ -396,12 +396,11 @@ def split_cell(u1, J: Iterable[int], atol: Optional[float] = None):
 def _leading_lines(rows, J: tuple) -> dict:
     """For each wedge index j in 1..n-1 outside J, the line spanned by
     the first j columns of a float matrix: their wedge coordinates
-    (colex row-subset minors), normalized."""
+    (colex row-subset minors, one stacked determinant call), normalized."""
     a = np.array(rows, dtype=float)
-    return {j: _normalize_line(np.array(
-                [np.linalg.det(a[np.ix_([r - 1 for r in sub], list(range(j)))])
-                 for sub in colex_subsets(len(a), j)]))
-            for j in range(1, len(a)) if j not in J}
+    n = len(a)
+    return {j: _normalize_line(np.linalg.det(a[np.subtract(colex_subsets(n, j), 1), :j]))
+            for j in range(1, n) if j not in J}
 
 
 def _classify(g: RationalMatrix, J: Iterable[int], tol: FloatTolerances):

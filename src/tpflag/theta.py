@@ -199,8 +199,6 @@ def _conjugated_product(u, binv, coords, num) -> list:
 
 
 def _check_conjugation(t: TorusPoint, u: RationalMatrix):
-    if not t.is_exact:
-        raise ValueError("exact conjugation needs rational coordinates")
     if not u.is_unit_triangular("lower"):
         raise ValueError("input is not unit lower triangular")
     if t.n != u.n:
@@ -210,6 +208,8 @@ def _check_conjugation(t: TorusPoint, u: RationalMatrix):
 def torus_conjugate(t: TorusPoint, u: RationalMatrix) -> RationalMatrix:
     """Exact conjugation t u t^-1 of a unit lower triangular matrix:
     entry (i, k) with i > k scales by the product of coords k..i-1."""
+    if not t.is_exact:
+        raise ValueError("exact conjugation needs rational coordinates")
     _check_conjugation(t, u)
     return RationalMatrix(_conjugate_rows(u.rows, t.coords, Fraction))
 
@@ -231,13 +231,13 @@ def _domain_point(u: RationalMatrix, binv: RationalMatrix, t: TorusPoint,
     """(t u t^-1 u'^-1, its lower positivity verdict) from binv = u'^-1:
     exact rows and the exact test for rational coordinates, float rows
     and the float minor test with the given margin otherwise."""
+    # the kernel reads only the lower triangles of same-size inputs
+    _check_conjugation(t, u)
+    if binv.n != u.n:
+        raise ValueError("dimension mismatch")
+    if not binv.is_unit_triangular("lower"):
+        raise ValueError("input is not unit lower triangular")
     if t.is_exact:
-        # the kernel reads only the lower triangles of same-size inputs
-        _check_conjugation(t, u)
-        if binv.n != u.n:
-            raise ValueError("dimension mismatch")
-        if not binv.is_unit_triangular("lower"):
-            raise ValueError("input is not unit lower triangular")
         m = RationalMatrix(_conjugated_product(u.rows, binv.rows, t.coords, Fraction))
         return m, is_totally_positive_unitriangular(m, "lower")
     m = _conjugated_product(u.rows, binv.to_float(), t.coords, float)

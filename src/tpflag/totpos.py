@@ -28,7 +28,7 @@ from typing import Optional
 from .errors import NotInCell
 from .exactmat import MAX_DIMENSION, RationalMatrix, _submatrix_det, float_det
 from .prng import SplitMix64, derive_seed
-from .weyl import WeylElement, is_reduced, longest_element, reduced_word
+from .weyl import WeylElement, longest_element, reduced_word
 
 _SIGNS = ("lower", "upper")
 
@@ -143,10 +143,13 @@ def evaluate_params(p: LusztigParams, sign: str, n: int) -> RationalMatrix:
 #     t = minor(u, R, {1..i}) / minor(u, R, {1..i-1, i+1}),
 #     R = sorted(w({1..i})).
 #
-# Iterating over the word right-to-left (and transposing for the upper
-# side) extracts every parameter with two small determinants per letter,
-# for any reduced word.  A vanishing denominator, a non-positive
-# parameter, or a non-identity remainder all mean "outside the cell".
+# Peeling right to left, what is left at letter k lies in the cell of
+# the prefix product of letters 1..k, so one walk over the word (swap
+# positions i, i+1 of the one-line form at letter i) gives every R and
+# checks the word: reduced iff each swap puts the larger value first.  The upper side peels the transpose
+# along the reversed word, which spells w^-1.  A vanishing denominator,
+# a non-positive parameter, or a non-identity remainder all mean
+# "outside the cell".
 
 
 def extract_params(u, w: WeylElement, sign: str,
@@ -154,7 +157,8 @@ def extract_params(u, w: WeylElement, sign: str,
                    atol: Optional[float] = None) -> LusztigParams:
     """Invert :func:`evaluate_params`: recover the parameters of ``u`` on
     the cell of ``w``, along the canonical reduced word unless an explicit
-    reduced ``word`` is given.
+    reduced ``word`` is given: one walk over the word checks it and gives
+    every peeling minor, and the upper side peels the transpose.
 
     Raises :class:`NotInCell` when the peeling forces a zero, negative,
     or inconsistent parameter (that is, u lies outside the cell).  ``u``
@@ -163,12 +167,19 @@ def extract_params(u, w: WeylElement, sign: str,
     """
     _check_sign(sign)
     n = w.n
-    if word is None:
-        word = reduced_word(w)
-    else:
-        word = tuple(word)
-        if not is_reduced(word, n) or WeylElement.from_word(word, n) != w:
-            raise ValueError("word is not a reduced word for w")
+    word = reduced_word(w) if word is None else tuple(word)
+    for i in word:
+        if not 1 <= i <= n - 1:
+            raise ValueError(f"letter out of range 1..{n - 1}: {i}")
+    lower = sign == "lower"
+    peel, target = (word, w) if lower else (word[::-1], w.inverse())
+    perm, rsets, reduced = list(range(1, n + 1)), [], True
+    for i in peel:
+        reduced = reduced and perm[i - 1] < perm[i]
+        perm[i - 1], perm[i] = perm[i], perm[i - 1]
+        rsets.append(tuple(sorted(perm[:i])))
+    if not reduced or tuple(perm) != target.oneline:
+        raise ValueError("word is not a reduced word for w")
 
     exact = isinstance(u, RationalMatrix)
     if exact:
@@ -183,37 +194,25 @@ def extract_params(u, w: WeylElement, sign: str,
         rows = [[float(x) for x in row] for row in u]
         if len(rows) != n or any(len(r) != n for r in rows):
             raise ValueError("matrix size does not match w")
+    if not lower:
+        rows = [list(col) for col in zip(*rows)]
 
-    if sign == "upper":
-        # transpose maps upper products to lower products along the
-        # reversed word, which spells the inverse element
-        flipped = [[rows[c][r] for c in range(n)] for r in range(n)]
-        if exact:
-            flipped = RationalMatrix.from_rows(flipped)
-        inner = extract_params(flipped, w.inverse(), "lower",
-                               word=tuple(reversed(word)), atol=atol)
-        return LusztigParams(word, tuple(reversed(inner.params)))
-
-    params = [None] * len(word)
-    w_cur = w
-    scale = 1.0 if exact else max(1.0, max(abs(x) for r in rows for x in r))
-    for k in range(len(word) - 1, -1, -1):
-        i = word[k]
-        rset = tuple(sorted(w_cur.oneline[:i]))
-        cols_num = tuple(range(1, i + 1))
-        cols_den = tuple(range(1, i)) + (i + 1,)
-        num = _minor_of_rows(rows, rset, cols_num, exact)
-        den = _minor_of_rows(rows, rset, cols_den, exact)
-        if (den == 0) if exact else (abs(den) <= 1e-13 * scale):
+    params = [None] * len(peel)
+    zero = 0 if exact else 1e-13
+    scale = 1 if exact else max(1.0, max(abs(x) for r in rows for x in r))
+    for k in range(len(peel) - 1, -1, -1):
+        i = peel[k]
+        num = _minor_of_rows(rows, rsets[k], tuple(range(1, i + 1)), exact)
+        den = _minor_of_rows(rows, rsets[k], tuple(range(1, i)) + (i + 1,), exact)
+        if abs(den) <= zero * scale:
             raise NotInCell(f"peeling letter {i}: pivot minor vanishes "
                             "(matrix is outside the cell)")
         t = num / den
-        if (t == 0) if exact else (abs(t) <= 1e-13):
+        if abs(t) <= zero:
             raise NotInCell(f"parameter at word position {k} is forced to zero")
         params[k] = t
         for r in range(n):
             rows[r][i - 1] -= t * rows[r][i]
-        w_cur = w_cur * WeylElement.simple(i, n)
 
     # fully peeled: the remainder must be the identity
     if exact:
@@ -229,7 +228,7 @@ def extract_params(u, w: WeylElement, sign: str,
     bad = [t for t in params if t <= 0]
     if bad:
         raise NotInCell(f"non-positive parameter(s) forced: {bad}")
-    return LusztigParams(word, tuple(params))
+    return LusztigParams(word, tuple(params if lower else params[::-1]))
 
 
 def _minor_of_rows(rows, rset, cset, exact):

@@ -13,6 +13,8 @@ import numpy as np
 
 from tpflag import (DecompositionUnavailable, RationalMatrix, gauss_decompose,
                     is_totally_positive_unitriangular)
+from tpflag.exactmat import colex_subsets
+from tpflag.flag import _normalize_line
 from tpflag.weyl import WeylElement
 
 
@@ -47,6 +49,16 @@ def elementary(i: int, a, sign: str, n: int) -> RationalMatrix:
     else:
         rows[i - 1][i] = Fraction(a)
     return RationalMatrix.from_rows(rows)
+
+
+def leading_lines_per_subset(rows, J: tuple) -> dict:
+    """The wedge lines of ``flag._leading_lines`` with one determinant
+    call per colex row subset of the first j columns."""
+    a = np.array(rows, dtype=float)
+    return {j: _normalize_line(np.array(
+                [np.linalg.det(a[np.ix_([r - 1 for r in sub], list(range(j)))])
+                 for sub in colex_subsets(len(a), j)]))
+            for j in range(1, len(a)) if j not in J}
 
 
 def all_reduced_words(w: WeylElement) -> set:

@@ -127,6 +127,33 @@ class TestTheta:
         assert code == 3
         assert "NaN" not in out
 
+    @pytest.mark.parametrize("exact", [True, False])
+    @pytest.mark.parametrize("case,message", [
+        ("uprime smaller", "dimension mismatch"),
+        ("uprime larger", "dimension mismatch"),
+        ("t too short", "torus point size does not match the matrix"),
+        ("t too long", "torus point size does not match the matrix"),
+    ])
+    def test_forward_mismatched_sizes_exit_two(self, tmp_path, capsys, case,
+                                               message, exact):
+        instance, _ = sample_instance(tmp_path, capsys, n=3, seed=5)
+        if case.startswith("uprime"):
+            m = 2 if case == "uprime smaller" else 4
+            w0 = longest_element(range(1, m), m)
+            instance["uprime"] = evaluate_params(sample_positive(w0, "lower", 2),
+                                                 "lower", m).to_json_dict()
+        else:
+            instance["t"] = instance["t"][:1] if case == "t too short" \
+                else instance["t"] + ["2"]
+        if not exact:
+            instance["t"] = [float(F(c)) for c in instance["t"]]
+        path = write_json(tmp_path / "mismatch.json", instance)
+        code = main(["theta", "forward", "--instance", path])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err == f"input error: {message}\n"
+
     def test_solve_float_arithmetic_failure_exits_three(self, tmp_path, capsys):
         # huge targets drive the line search into a float division by
         # zero; that is a domain error with a message, not a traceback

@@ -16,8 +16,12 @@ from tpflag import (CellCoordinates, EigenvalueCollision, FlagComputationError,
                     sample_g_positive, sample_positive, sigma_b,
                     sigma_b_inverse, split_cell, theta_forward,
                     torus_set_membership, zeta, zeta_j)
+from tpflag.errors import MembershipViolation, NotInTorusSet
 from tpflag.prng import SplitMix64, derive_seed
+from tpflag.totpos import MinorWitness, PositivityVerdict
 from tpflag.weyl import longest_element
+
+from oracles import leading_lines_per_subset
 
 
 def w0(n):
@@ -182,6 +186,20 @@ class TestSigmaB:
         with pytest.raises(NotInFibre):
             sigma_b(other, FlagPoint(uprime))
 
+    def test_failed_domain_test_is_a_membership_violation(self, monkeypatch):
+        # the implied domain membership is checked once, by the forward
+        # map; force its exact test to fail and pin the abort
+        import tpflag.theta as theta_module
+        g, uprime, _, _, _ = fibre_element(3, seed=2)
+        witness = MinorWitness((2,), (1,), F(-1), "must be > 0")
+        monkeypatch.setattr(theta_module, "is_totally_positive_unitriangular",
+                            lambda m, sign: PositivityVerdict(False, witness))
+        with pytest.raises(MembershipViolation) as info:
+            sigma_b(g, FlagPoint(uprime))
+        assert str(info.value) == ("implied torus-domain membership failed: "
+                                   "minor rows {2} cols {1} = -1 (must be > 0)")
+        assert isinstance(info.value.__cause__, NotInTorusSet)
+
     def test_non_member_rejected(self):
         _, uprime, _, _, _ = fibre_element(2, seed=6)
         with pytest.raises(NotPositive):
@@ -300,6 +318,22 @@ class TestZetaJ:
                     chk = perron_line_check(g, J)
                     assert chk["ok"], chk
                     assert chk["max_deviation"] < 1e-8
+
+
+class TestLeadingLines:
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+    def test_stacked_determinants_match_per_subset(self, n):
+        # bit-identical on the eigenbasis and representative from zeta
+        # and on both parts of every split
+        g = sample_g_positive(n, seed=n)
+        lower, ef = flag_module._zeta_impl(g, flag_module.DEFAULT_TOLERANCES)
+        for J in all_parabolic_sets(n):
+            for rows in (ef.basis, lower, *split_cell(lower, J, atol=1e-8)):
+                got = flag_module._leading_lines(rows, J)
+                want = leading_lines_per_subset(rows, J)
+                assert list(got) == list(want) == [j for j in range(1, n)
+                                                   if j not in J]
+                assert all(got[j].tobytes() == want[j].tobytes() for j in got)
 
 
 class TestPartition:

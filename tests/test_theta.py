@@ -176,6 +176,45 @@ class TestConjugatedProduct:
                     assert abs(approx[i][k] - float(exact[i][k])) <= 1e-12 * terms[i][k]
 
 
+def invalid_domain_input(case):
+    """(u, u', coords) at n = 3 with one input check violated."""
+    u, uprime, coords = lower_cell_point(3, 1), lower_cell_point(3, 2), (F(5),) * 2
+    if case == "uprime smaller":
+        uprime = lower_cell_point(2, 2)
+    elif case == "uprime larger":
+        uprime = lower_cell_point(4, 2)
+    elif case == "t too short":
+        coords = (F(5),)
+    elif case == "t too long":
+        coords = (F(5),) * 3
+    elif case == "u not unit lower":
+        u = u.transpose()
+    elif case == "uprime not unit lower":
+        uprime = RationalMatrix.from_rows([[2, 0, 0], [1, 1, 0], [1, 1, F(1, 2)]])
+    return u, uprime, coords
+
+
+class TestDomainInputs:
+    # both arithmetics run the same checks before the kernel, which
+    # reads only the lower triangles of same-size inputs
+    @pytest.mark.parametrize("num", [F, float])
+    @pytest.mark.parametrize("case,message", [
+        ("uprime smaller", "dimension mismatch"),
+        ("uprime larger", "dimension mismatch"),
+        ("t too short", "torus point size does not match the matrix"),
+        ("t too long", "torus point size does not match the matrix"),
+        ("u not unit lower", "input is not unit lower triangular"),
+        ("uprime not unit lower", "input is not unit lower triangular"),
+    ])
+    def test_rejected_in_both_arithmetics(self, case, message, num):
+        u, uprime, coords = invalid_domain_input(case)
+        t = TorusPoint(tuple(num(c) for c in coords))
+        for call in (torus_set_membership, theta_forward):
+            with pytest.raises(ValueError) as info:
+                call(u, uprime, t)
+            assert str(info.value) == message
+
+
 class TestTorusPoint:
     def test_matrix_round_trip_perfect_roots(self):
         t = RationalMatrix.diagonal([F(4), F(1, 2), F(1, 2)])

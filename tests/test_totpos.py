@@ -186,6 +186,59 @@ class TestExtractParams:
             extract_params(RationalMatrix.identity(3), w0(3), "lower",
                            word=(1, 1, 1))
 
+    @pytest.mark.parametrize("exact", [True, False])
+    @pytest.mark.parametrize("sign", ["lower", "upper"])
+    def test_bad_words_keep_their_messages(self, sign, exact):
+        # out-of-range letters are reported first, in the order given,
+        # on both sides; the upper side peels along the reversed word
+        for n in range(2, 7):
+            u = evaluate_params(sample_positive(w0(n), sign, n), sign, n)
+            u = u if exact else u.to_float()
+            canon = reduced_word(w0(n))
+            bad = {
+                (0,): f"letter out of range 1..{n - 1}: 0",
+                canon[:-1] + (n,): f"letter out of range 1..{n - 1}: {n}",
+                (1, n, 0): f"letter out of range 1..{n - 1}: {n}",
+                (1, 1) + canon[2:]: "word is not a reduced word for w",
+                canon + (1,): "word is not a reduced word for w",
+                canon[:-1]: "word is not a reduced word for w",
+                (1,) * max(2, len(canon)): "word is not a reduced word for w",
+            }
+            for word, message in bad.items():
+                with pytest.raises(ValueError) as info:
+                    extract_params(u, w0(n), sign, word=word, atol=1e-8)
+                assert str(info.value) == message
+
+    @pytest.mark.parametrize("exact", [True, False])
+    @pytest.mark.parametrize("sign", ["lower", "upper"])
+    def test_reduced_word_of_another_element_rejected(self, sign, exact):
+        rng = SplitMix64(31)
+        for n in range(3, 7):
+            for _ in range(6):
+                w = random_weyl(rng, n)
+                other = random_weyl(rng, n)
+                if other == w:
+                    continue
+                u = evaluate_params(sample_positive(w, sign, n), sign, n)
+                with pytest.raises(ValueError, match="^word is not a reduced "
+                                                     "word for w$"):
+                    extract_params(u if exact else u.to_float(), w, sign,
+                                   word=reduced_word(other), atol=1e-8)
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+    def test_float_upper_matches_exact(self, n):
+        atol = 1e-8
+        rng = SplitMix64(derive_seed(n, 5))
+        for trial in range(6):
+            w = w0(n) if trial % 2 else random_weyl(rng, n)
+            params = sample_positive(w, "upper", derive_seed(trial, n))
+            u = evaluate_params(params, "upper", n)
+            assert extract_params(u, w, "upper") == params
+            got = extract_params(u.to_float(), w, "upper", atol=atol)
+            assert got.word == params.word
+            assert all(abs(a - float(b)) <= atol
+                       for a, b in zip(got.params, params.params))
+
     @pytest.mark.parametrize("n,word", [
         (4, (2, 1, 3, 2, 1, 3)),
         (5, (2, 1, 3, 2, 4, 3, 2, 1, 2, 4)),
