@@ -264,42 +264,34 @@ class GaussFactors:
         return self.upper @ self.torus @ self.lower
 
 
-def _flip(m: RationalMatrix) -> RationalMatrix:
-    """Conjugation by the exchange permutation: entry (i,j) -> (n+1-i, n+1-j)."""
-    n = m.n
-    return RationalMatrix(tuple(tuple(m.rows[n - 1 - i][n - 1 - j] for j in range(n))
-                                for i in range(n)))
-
-
 def gauss_decompose(g: RationalMatrix) -> GaussFactors:
     """Factor g = upper * torus * lower (unit upper, diagonal, unit lower).
 
     Exists iff all trailing principal minors (rows and columns {k..n}) are
     nonzero; otherwise raises :class:`DecompositionUnavailable`.  Computed
-    by flipping the matrix about its antidiagonal, running the standard
-    unit-lower * diag * unit-upper elimination, and flipping back.
+    by elimination on g from the last column back: row operations upward
+    clear the entries above each pivot, their multipliers form the upper
+    factor, and the lower triangle left behind is torus * lower.  The
+    pivot at column k is the ratio of the trailing minors on {k..n} and
+    {k+1..n}, so it vanishes first where a trailing minor does.
     """
     n = g.n
-    h = _flip(g)
-    a = [list(row) for row in h.rows]
-    lower = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
-    for col in range(n):
+    a = [list(row) for row in g.rows]
+    upper = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
+    for col in reversed(range(n)):
         pivot = a[col][col]
         if pivot == 0:
-            k = n - col
             raise DecompositionUnavailable(
-                f"trailing principal minor on rows/cols {{{k}..{n}}} vanishes")
-        for r in range(col + 1, n):
+                f"trailing principal minor on rows/cols {{{col + 1}..{n}}} vanishes")
+        for r in range(col):
             if a[r][col] != 0:
                 f = a[r][col] / pivot
-                lower[r][col] = f
+                upper[r][col] = f
                 a[r] = [x - f * y for x, y in zip(a[r], a[col])]
-    pivots = [a[i][i] for i in range(n)]
-    unit_upper = [[a[i][j] / pivots[i] for j in range(n)] for i in range(n)]
-    l_h = RationalMatrix(tuple(tuple(row) for row in lower))
-    d_h = RationalMatrix.diagonal(pivots)
-    u_h = RationalMatrix(tuple(tuple(row) for row in unit_upper))
-    return GaussFactors(upper=_flip(l_h), torus=_flip(d_h), lower=_flip(u_h))
+    return GaussFactors(upper=RationalMatrix.from_rows(upper),
+                        torus=RationalMatrix.diagonal(a[i][i] for i in range(n)),
+                        lower=RationalMatrix.from_rows([x / row[i] for x in row]
+                                                       for i, row in enumerate(a)))
 
 
 # ---------------------------------------------------------------------------

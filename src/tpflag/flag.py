@@ -29,7 +29,7 @@ from .theta import (SolverConfig, TorusPoint, theta_forward, theta_inverse_numer
 from .totpos import (LusztigParams, evaluate_params, extract_params,
                      is_g_positive, is_totally_positive_unitriangular,
                      relevant_minor_pairs, _evaluate_rows)
-from .weyl import length, longest_element, reduced_word
+from .weyl import longest_element, reduced_word
 
 
 def _sorted_letters(J) -> tuple:
@@ -289,10 +289,11 @@ def sigma_b(g: RationalMatrix, B: FlagPoint) -> CellCoordinates:
     """Exact fibre coordinates of g over the Borel with representative
     u': the unit-upper cell parameters and the torus target vector.
 
-    Writes u'^-1 g u' = v * t with v unit upper and t the diagonal; the
-    torus point entering the target map is the *inverse* of t (the
-    factorization argument produces the inverse-conjugated condition),
-    and its domain membership is implied; a violation aborts loudly.
+    Writes u'^-1 g u' = v * t with v unit upper and t = diag(d_1..d_n),
+    so v is that product with column j over d_j.  The target map takes
+    tau = t^-1, with coordinates d_i / d_{i+1} (the factorization argument
+    produces the inverse-conjugated condition); its domain membership is
+    implied, and a violation aborts loudly.
     """
     if not B.is_exact:
         raise ValueError("exact fibre coordinates need an exact Borel "
@@ -306,12 +307,12 @@ def sigma_b(g: RationalMatrix, B: FlagPoint) -> CellCoordinates:
     h = uprime.inverse() @ g @ uprime
     if any(h.rows[i][j] != 0 for j in range(n) for i in range(j + 1, n)):
         raise NotInFibre("element does not lie in the given Borel")
-    t_factor = RationalMatrix.diagonal(h.diagonal_entries())
-    if any(d <= 0 for d in t_factor.diagonal_entries()):
+    d = h.diagonal_entries()
+    if any(x <= 0 for x in d):
         raise MembershipViolation("torus factor of a fibre element is not "
                                   "positive; this contradicts the fibre "
                                   "parametrization argument")
-    v = h @ t_factor.inverse()
+    v = RationalMatrix.from_rows([x / dj for x, dj in zip(row, d)] for row in h.rows)
     try:
         vparams = extract_params(v, longest_element(range(1, n), n), "upper")
     except NotInCell as exc:
@@ -319,7 +320,7 @@ def sigma_b(g: RationalMatrix, B: FlagPoint) -> CellCoordinates:
             "unit-upper factor of a fibre element is outside the positive "
             f"cell ({exc}); this contradicts the fibre parametrization "
             "argument") from exc
-    tau = TorusPoint.from_matrix(t_factor).inverse()
+    tau = TorusPoint(tuple(d[i] / d[i + 1] for i in range(n - 1)))
     w_minus = gauss_decompose(uprime @ v).lower
     try:
         zvec = theta_forward(w_minus, uprime, tau)
@@ -372,8 +373,8 @@ def sigma_b_inverse(coords: CellCoordinates, B: FlagPoint,
 def _split_words(J, n: int):
     w0 = longest_element(range(1, n), n)
     w0J = longest_element(J, n)
-    w0_w0J = w0 * w0J
-    return w0, w0_w0J, reduced_word(w0_w0J) + reduced_word(w0J)
+    first = reduced_word(w0 * w0J)
+    return w0, first + reduced_word(w0J), len(first)
 
 
 def split_cell(u1, J: Iterable[int], atol: Optional[float] = None):
@@ -384,8 +385,7 @@ def split_cell(u1, J: Iterable[int], atol: Optional[float] = None):
     exact = isinstance(u1, RationalMatrix)
     n = u1.n if exact else len(u1)
     J = _sorted_letters(J)
-    w0, w0_w0J, word = _split_words(J, n)
-    cut = length(w0_w0J)
+    w0, word, cut = _split_words(J, n)
     params = extract_params(u1, w0, "lower", word=word, atol=atol).params
     parts = ((word[:cut], params[:cut]), (word[cut:], params[cut:]))
     if exact:

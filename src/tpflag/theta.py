@@ -173,7 +173,8 @@ def z_function(u, j: int):
 def _conjugate_rows(u, coords, num) -> list:
     """Rows of t u t^-1 for unit lower u in ``num`` arithmetic
     (``Fraction`` or ``float``): entry (i, k) with i > k scales by
-    prefix[i] / prefix[k], the product of coords k..i-1."""
+    prefix[i] / prefix[k], the product of coords k..i-1, or NaN where a
+    float prefix underflowed to zero (the float minor test rejects it)."""
     n = len(u)
     one = num(1)
     prefix = [one]
@@ -183,7 +184,8 @@ def _conjugate_rows(u, coords, num) -> list:
     for i in range(n):
         rows[i][i] = one
         for k in range(i):
-            rows[i][k] = num(u[i][k]) * (prefix[i] / prefix[k])
+            scale = prefix[i] / prefix[k] if prefix[k] else math.nan
+            rows[i][k] = num(u[i][k]) * scale
     return rows
 
 
@@ -272,6 +274,14 @@ def theta_forward(u: RationalMatrix, uprime: RationalMatrix, t: TorusPoint) -> t
 # Closed-form inverses, n = 2 and n = 3
 
 
+def _target_vector(z, n: int) -> tuple:
+    """z as a tuple, checked to hold one target per wedge index 1..n-1."""
+    z = tuple(z)
+    if len(z) != n - 1:
+        raise ValueError("target vector has wrong length")
+    return z
+
+
 def theta_inverse_sl2(u: RationalMatrix, uprime: RationalMatrix, z) -> TorusPoint:
     """n = 2: the single target A = R a - a' inverts to R = (A + a')/a,
     exactly when the inputs are exact."""
@@ -279,7 +289,7 @@ def theta_inverse_sl2(u: RationalMatrix, uprime: RationalMatrix, z) -> TorusPoin
         raise ValueError("closed form requires 2x2 inputs")
     a = u.rows[1][0]
     aprime = uprime.rows[1][0]
-    (A,) = tuple(z)
+    (A,) = _target_vector(z, 2)
     if A <= 0:
         raise ValueError("target must be positive")
     return TorusPoint(((A + aprime) / a,))
@@ -294,7 +304,7 @@ def sl3_root_pair(u: RationalMatrix, uprime: RationalMatrix, z):
         raise ValueError("closed form requires 3x3 inputs")
     a, b, c = u.rows[1][0], u.rows[2][1], u.rows[2][0]
     ap, bp, cp = uprime.rows[1][0], uprime.rows[2][1], uprime.rows[2][0]
-    A, B = tuple(z)
+    A, B = _target_vector(z, 3)
     if A <= 0 or B <= 0:
         raise ValueError("targets must be positive")
     exact = all(isinstance(x, Fraction) for x in (a, b, c, ap, bp, cp, A, B))
@@ -539,9 +549,7 @@ def theta_inverse_numeric(u: RationalMatrix, uprime: RationalMatrix, z,
     uniqueness of preimages is exactly what is under investigation.
     Raises :class:`NoConvergence` when no start meets the tolerance.
     """
-    z = tuple(z)
-    if len(z) != u.n - 1:
-        raise ValueError("target vector has wrong length")
+    z = _target_vector(z, u.n)
     if any(v <= 0 for v in z):
         raise ValueError("targets must be strictly positive")
     zsys = ZSystem(u, uprime)

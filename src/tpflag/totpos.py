@@ -311,7 +311,8 @@ def is_g_positive(g: RationalMatrix) -> PositivityVerdict:
         full = tuple(range(1, g.n + 1))
         return PositivityVerdict(False, MinorWitness(full, full, det,
                                                      "determinant must be 1"))
-    return _first_nonpositive(g, _initial_minor_pairs(g.n))
+    # the last initial minor is det g itself, already known to be 1
+    return _first_nonpositive(g, _initial_minor_pairs(g.n)[:-1])
 
 
 # ---------------------------------------------------------------------------

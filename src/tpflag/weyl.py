@@ -38,19 +38,18 @@ class WeylElement:
     @classmethod
     def simple(cls, i: int, n: int) -> "WeylElement":
         """The simple reflection s_i (1 <= i <= n-1)."""
-        if not 1 <= i <= n - 1:
-            raise ValueError(f"letter out of range 1..{n - 1}: {i}")
-        ol = list(range(1, n + 1))
-        ol[i - 1], ol[i] = ol[i], ol[i - 1]
-        return cls(tuple(ol))
+        return cls.from_word((i,), n)
 
     @classmethod
     def from_word(cls, word: Iterable[int], n: int) -> "WeylElement":
-        """Product of simple reflections, left to right."""
-        w = cls.identity(n)
+        """Product of simple reflections, left to right: letter i swaps
+        positions i and i+1 of the one-line notation built so far."""
+        ol = list(range(1, n + 1))
         for i in word:
-            w = w * cls.simple(i, n)
-        return w
+            if not 1 <= i <= n - 1:
+                raise ValueError(f"letter out of range 1..{n - 1}: {i}")
+            ol[i - 1], ol[i] = ol[i], ol[i - 1]
+        return cls(tuple(ol))
 
     @property
     def n(self) -> int:
@@ -108,34 +107,24 @@ def longest_element(J: Iterable[int], n: int) -> WeylElement:
     return WeylElement(tuple(ol))
 
 
-def _smallest_left_descent(w: WeylElement):
-    """Smallest i with the value i placed after i+1, or None for the
-    identity.  These i are exactly the valid first letters of reduced
-    words for w."""
-    pos = {v: i for i, v in enumerate(w.oneline)}
-    for i in range(1, w.n):
-        if pos[i] > pos[i + 1]:
-            return i
-    return None
-
-
 def reduced_word(w: WeylElement) -> tuple:
-    """The lexicographically smallest reduced word for w, built by
-    greedily taking the smallest valid first letter and recursing.
+    """The lexicographically smallest reduced word for w: strip the
+    smallest left descent i (the value i placed after i+1) while there is
+    one.  Stripping s_i swaps the places of the values i and i+1.
 
     >>> reduced_word(WeylElement((3, 2, 1)))
     (1, 2, 1)
     >>> reduced_word(WeylElement((2, 3, 1)))
     (1, 2)
     """
+    place = {v: p for p, v in enumerate(w.oneline)}
     word = []
-    cur = w
     while True:
-        i = _smallest_left_descent(cur)
+        i = next((k for k in range(1, w.n) if place[k] > place[k + 1]), None)
         if i is None:
             return tuple(word)
         word.append(i)
-        cur = WeylElement.simple(i, w.n) * cur
+        place[i], place[i + 1] = place[i + 1], place[i]
 
 
 def is_reduced(word: Iterable[int], n: int) -> bool:

@@ -154,15 +154,59 @@ class TestTheta:
         assert captured.out == ""
         assert captured.err == f"input error: {message}\n"
 
-    def test_solve_float_arithmetic_failure_exits_three(self, tmp_path, capsys):
-        # huge targets drive the line search into a float division by
-        # zero; that is a domain error with a message, not a traceback
+    @pytest.mark.parametrize("z,converged", [(1e300, None), (1e12, [True] * 10)])
+    def test_solve_line_search_halves_past_underflow(self, tmp_path, capsys, z,
+                                                     converged):
+        # huge targets send line-search steps onto coordinates whose float
+        # prefix products underflow; those points are outside the domain,
+        # so the step is halved and the solve goes on
         instance, _ = sample_instance(tmp_path, capsys, n=4, seed=3)
-        instance["z"] = [1e300] * 3
+        instance["z"] = [z] * 3
         path = write_json(tmp_path / "huge_z.json", instance)
-        code = main(["theta", "solve", "--instance", path])
+        code, out = run(capsys, "theta", "solve", "--instance", path)
+        assert code == 0
+        report = json.loads(out)
+        assert report["distinct_limits"] == 1
+        if converged is not None:
+            assert report["converged"] == converged
+
+    def test_forward_underflowed_t_exits_three(self, tmp_path, capsys):
+        instance, _ = sample_instance(tmp_path, capsys, n=4, seed=3)
+        instance["t"] = [1e-200] * 3
+        path = write_json(tmp_path / "tiny_t.json", instance)
+        code = main(["theta", "forward", "--instance", path])
+        captured = capsys.readouterr()
         assert code == 3
-        assert capsys.readouterr().err.startswith("error: ZeroDivisionError")
+        assert captured.out == ""
+        assert captured.err.startswith(
+            "error: torus point outside the domain: minor rows {2} cols {1} = ")
+
+    @pytest.mark.parametrize("n", [2, 3])
+    @pytest.mark.parametrize("length", ["short", "long"])
+    def test_solve_closed_checks_target_length(self, tmp_path, capsys, n, length):
+        instance, _ = sample_instance(tmp_path, capsys, n=n, seed=5)
+        instance["z"] = instance["z"][:-1] if length == "short" else instance["z"] + ["2"]
+        path = write_json(tmp_path / "bad_z.json", instance)
+        code = main(["theta", "solve", "--instance", path, "--method", "closed"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.err == "input error: target vector has wrong length\n"
+
+    @pytest.mark.parametrize("subcommand,field,n,extra,message", [
+        ("forward", "t", 3, [], "forward needs a 't' field in the instance"),
+        ("solve", "z", 3, [], "solve needs a 'z' field in the instance"),
+        ("solve", None, 4, ["--method", "closed"],
+         "closed-form solve is only available for n <= 3"),
+    ])
+    def test_unusable_instance_exits_two(self, tmp_path, capsys, subcommand, field,
+                                         n, extra, message):
+        instance, _ = sample_instance(tmp_path, capsys, n=n, seed=5)
+        instance.pop(field, None)
+        path = write_json(tmp_path / "partial.json", instance)
+        code = main(["theta", subcommand, "--instance", path, *extra])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.err == f"input error: {message}\n"
 
     def test_solve_without_convergence_exits_four(self, tmp_path, capsys):
         _, path = sample_instance(tmp_path, capsys, n=4, seed=2)
@@ -213,6 +257,37 @@ class TestVerify:
         path = self.config(tmp_path, trials=0)
         code, _ = run(capsys, "verify", "--config", path)
         assert code == 2
+
+    def test_unknown_config_key_exits_two(self, tmp_path, capsys):
+        path = self.config(tmp_path, colour="blue")
+        code = main(["verify", "--config", path])
+        assert code == 2
+        assert capsys.readouterr().err == "input error: unknown config keys: ['colour']\n"
+
+    def test_multiple_limits_write_counterexamples(self, tmp_path, capsys):
+        # a cluster threshold of 1e-300 splits every set of converged starts
+        path = self.config(tmp_path, n=3, trials=2, seed=1, starts=10,
+                           cluster_threshold=1e-300,
+                           counterexample_dir=str(tmp_path / "cx"))
+        code, out = run(capsys, "verify", "--config", path)
+        assert code == 4
+        assert "FAILURES RECORDED" in out
+        names = sorted(p.name for p in (tmp_path / "cx").iterdir())
+        assert names == ["counterexample-0000.json", "counterexample-0001.json"]
+        for k, name in enumerate(names):
+            counter = json.loads((tmp_path / "cx" / name).read_text())
+            assert counter["instance_id"] == k
+        summary = json.loads((tmp_path / "campaign.json").read_text())
+        assert summary["multi_limit_instances"] == [0, 1]
+
+    def test_no_convergence_records_infinite_residual(self, tmp_path, capsys):
+        path = self.config(tmp_path, n=3, trials=2, seed=1, starts=10,
+                           max_iterations=1, newton_tolerance=1e-300)
+        code, _ = run(capsys, "verify", "--config", path)
+        assert code == 4
+        rows = (tmp_path / "campaign.csv").read_text().splitlines()[1:]
+        assert [row.split(",")[3] for row in rows] == ["inf", "inf"]
+        assert not list(tmp_path.glob("counterexample-*.json"))
 
     @pytest.mark.parametrize("field,value", [
         ("starts", 0), ("max_iterations", 0), ("newton_tolerance", 0.0),
@@ -298,6 +373,26 @@ class TestFlag:
         code, _ = run(capsys, "flag", "sigma")
         assert code == 2
 
+    def test_tolerance_override(self, tmp_path, capsys):
+        # a line_agreement of 0 fails the wedge-line cross-check, which
+        # passes at the default (test_classify_includes_perron_verdict)
+        g = self.g_file(tmp_path, capsys)
+        code = main(["flag", "classify", g, "--J", "1",
+                     "--tolerance", "line_agreement=0"])
+        assert code == 3
+        assert capsys.readouterr().err.startswith(
+            "error: wedge index 2: leading eigenline deviates")
+
+    @pytest.mark.parametrize("pair,message", [
+        ("compare", "--tolerance expects NAME=VALUE, got 'compare'"),
+        ("colour=1", "unknown tolerance 'colour'"),
+    ])
+    def test_bad_tolerance_exits_two(self, tmp_path, capsys, pair, message):
+        g = self.g_file(tmp_path, capsys)
+        code = main(["flag", "classify", g, "--J", "1", "--tolerance", pair])
+        assert code == 2
+        assert capsys.readouterr().err == f"input error: {message}\n"
+
 
 class TestSample:
     def test_deterministic_output(self, capsys):
@@ -323,6 +418,15 @@ class TestSample:
         assert json.loads(out)["matrix"]["n"] == 8
         code, _ = run(capsys, "sample", "--kind", "g", "--n", "9")
         assert code == 2
+
+    def test_torus_sample(self, capsys):
+        code, out = run(capsys, "sample", "--kind", "torus", "--n", "4", "--seed", "2")
+        assert code == 0
+        payload = json.loads(out)
+        t = RationalMatrix.from_json_dict(payload["matrix"])
+        assert t.is_diagonal() and t.det() == 1
+        d = t.diagonal_entries()
+        assert [F(c) for c in payload["coords"]] == [d[i + 1] / d[i] for i in range(3)]
 
     def test_bad_kind_rejected(self, capsys):
         with pytest.raises(SystemExit):

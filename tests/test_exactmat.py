@@ -191,6 +191,63 @@ class TestGaussDecompose:
         f = gauss_decompose(g)
         assert f.torus.det() == 1
 
+    @staticmethod
+    def assert_matches_trailing_minors(g):
+        """g = U D L has d_k = T_k / T_{k+1},
+        U_ij = Delta_{{i, j+1..n},{j..n}} / T_j (i < j) and
+        L_ij = Delta_{{i..n},{j, i+1..n}} / T_i (i > j), with T_k the
+        trailing principal minor on {k..n}; a vanishing T_k raises with
+        the largest such k."""
+        n = g.n
+
+        def tail(k):
+            return tuple(range(k, n + 1))
+
+        trailing = {k: permutation_sum_minor(g, tail(k), tail(k)) for k in range(1, n + 1)}
+        trailing[n + 1] = F(1)
+        vanishing = [k for k in trailing if trailing[k] == 0]
+        if vanishing:
+            with pytest.raises(DecompositionUnavailable) as info:
+                gauss_decompose(g)
+            k = max(vanishing)
+            assert str(info.value) == \
+                f"trailing principal minor on rows/cols {{{k}..{n}}} vanishes"
+            return
+        f = gauss_decompose(g)
+        for i in range(1, n + 1):
+            assert f.torus.rows[i - 1][i - 1] == trailing[i] / trailing[i + 1]
+            for j in range(i + 1, n + 1):
+                assert f.upper.rows[i - 1][j - 1] == permutation_sum_minor(
+                    g, (i,) + tail(j + 1), tail(j)) / trailing[j]
+            for j in range(1, i):
+                assert f.lower.rows[i - 1][j - 1] == permutation_sum_minor(
+                    g, tail(i), (j,) + tail(i + 1)) / trailing[i]
+        assert f.product() == g
+
+    @settings(max_examples=40)
+    @given(square_lists(st.integers(-3, 3), min_n=2, max_n=6))
+    def test_factors_match_trailing_minors_on_integer_matrices(self, entries):
+        self.assert_matches_trailing_minors(square(entries))
+
+    @pytest.mark.parametrize("n", range(2, 7))
+    def test_factors_match_trailing_minors_on_tp_samples(self, n):
+        for seed in range(3):
+            self.assert_matches_trailing_minors(sample_g_positive(n, seed=seed))
+
+    @pytest.mark.parametrize("n", range(2, 7))
+    def test_vanishing_trailing_minor_names_its_rows(self, n):
+        # g = U D L with d_k = 0: the minors on {k'..n} vanish exactly for k' <= k
+        for k in range(1, n + 1):
+            upper = square([[int(i == j) if i >= j else i + 2 * j - 3
+                             for j in range(n)] for i in range(n)])
+            lower = square([[int(i == j) if i <= j else 2 - i + j
+                             for j in range(n)] for i in range(n)])
+            torus = RationalMatrix.diagonal([0 if i == k - 1 else i + 1 for i in range(n)])
+            with pytest.raises(DecompositionUnavailable) as info:
+                gauss_decompose(upper @ torus @ lower)
+            assert str(info.value) == \
+                f"trailing principal minor on rows/cols {{{k}..{n}}} vanishes"
+
 
 class TestExteriorPower:
     def test_identity_maps_to_identity(self):

@@ -215,6 +215,23 @@ class TestDomainInputs:
             assert str(info.value) == message
 
 
+class TestFloatUnderflow:
+    # at n >= 4 the float prefix products of (1e-200,)* underflow to zero;
+    # entry (2, 1) of the conjugated product is about -u'_21 either way
+    @pytest.mark.parametrize("n", [3, 4, 5])
+    def test_underflowed_point_is_outside_the_domain(self, n):
+        u, uprime = lower_cell_point(n, 1), lower_cell_point(n, 2)
+        t = TorusPoint((1e-200,) * (n - 1))
+        verdict = torus_set_membership(u, uprime, t)
+        assert not verdict.member
+        witness = verdict.witness
+        assert (witness.rows, witness.cols) == ((2,), (1,))
+        assert witness.value == -float(uprime.rows[1][0])
+        with pytest.raises(NotInTorusSet) as info:
+            theta_forward(u, uprime, t)
+        assert str(info.value) == "torus point outside the domain: " + witness.describe()
+
+
 class TestTorusPoint:
     def test_matrix_round_trip_perfect_roots(self):
         t = RationalMatrix.diagonal([F(4), F(1, 2), F(1, 2)])

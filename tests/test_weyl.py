@@ -133,3 +133,19 @@ class TestWeylElementBasics:
     def test_simple_out_of_range(self):
         with pytest.raises(ValueError):
             WeylElement.simple(3, 3)
+
+    @pytest.mark.parametrize("word,bad", [((0,), 0), ((1, 3), 3), ((2, 4, 0), 4),
+                                          ((1, 2, 1, -1), -1)])
+    def test_from_word_rejects_out_of_range_letters(self, word, bad):
+        # the first bad letter in word order is the one reported
+        with pytest.raises(ValueError) as info:
+            WeylElement.from_word(word, 3)
+        assert str(info.value) == f"letter out of range 1..2: {bad}"
+
+    @pytest.mark.parametrize("n", range(1, 6))
+    def test_from_word_is_product_of_simple_reflections(self, n):
+        word = [i % (n - 1) + 1 for i in range(3 * n)] if n > 1 else []
+        expected = WeylElement.identity(n)
+        for i in word:
+            expected = expected * WeylElement.simple(i, n)
+        assert WeylElement.from_word(word, n) == expected
