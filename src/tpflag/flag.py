@@ -14,18 +14,18 @@ irrational, so tolerances live here and are all configurable.  Exact
 rational paths are used wherever the data allows it.
 """
 
+from __future__ import annotations
+
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Optional
-
-import numpy as np
 
 from .errors import (EigenvalueCollision, FlagComputationError,
                      MembershipViolation, NotInCell, NotInFibre, NotInTorusSet,
                      NotPositive)
 from .exactmat import RationalMatrix, colex_subsets, exterior_power, gauss_decompose
 from .theta import (SolverConfig, TorusPoint, theta_forward, theta_inverse_numeric,
-                    theta_inverse_sl2, theta_inverse_sl3, _float_membership)
+                    theta_inverse_sl2, theta_inverse_sl3, _float_membership, np)
 from .totpos import (LusztigParams, evaluate_params, extract_params,
                      is_g_positive, is_totally_positive_unitriangular,
                      relevant_minor_pairs, _evaluate_rows)

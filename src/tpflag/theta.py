@@ -11,13 +11,15 @@ always have exactly one preimage is an open question; the campaign
 runner collects numerical evidence and treats failures as data.
 """
 
+from __future__ import annotations
+
+import importlib.util
 import math
+import sys
 from dataclasses import asdict, dataclass, field, replace
 from fractions import Fraction
 from itertools import combinations
 from typing import Optional
-
-import numpy as np
 
 from .errors import NoConvergence, NotInTorusSet
 from .exactmat import (RationalMatrix, _submatrix_det, float_det,
@@ -27,6 +29,21 @@ from .totpos import (MinorWitness, PositivityVerdict, evaluate_params,
                      is_totally_positive_unitriangular,
                      relevant_minor_pairs, sample_positive)
 from .weyl import longest_element
+
+
+def _lazy_numpy():
+    """numpy, bound here but executed on its first attribute access."""
+    spec = None if "numpy" in sys.modules else importlib.util.find_spec("numpy")
+    if spec is None:  # loaded already, or missing: a plain import returns or raises
+        import numpy
+        return numpy
+    spec.loader = importlib.util.LazyLoader(spec.loader)
+    module = sys.modules["numpy"] = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+np = _lazy_numpy()
 
 
 @dataclass(frozen=True)
@@ -659,6 +676,9 @@ class CampaignReport:
 
     def summary_dict(self) -> dict:
         converged = sum(1 for r in self.records if r.converged)
+        max_residual, max_roundtrip_err = (  # a failed solve's inf: JSON null
+            m if math.isfinite(m) else None
+            for m in (self.max_residual, self.max_roundtrip_err))
         return {
             "n": self.n,
             "trials": self.trials,
@@ -666,8 +686,8 @@ class CampaignReport:
             "config": self.config.to_json_dict(),
             "converged_instances": converged,
             "success_rate": converged / max(1, self.trials),
-            "max_residual": self.max_residual,
-            "max_roundtrip_err": self.max_roundtrip_err,
+            "max_residual": max_residual,
+            "max_roundtrip_err": max_roundtrip_err,
             "multi_limit_instances": [r.instance_id for r in self.records
                                       if r.distinct_limits > 1
                                       or r.aux_distinct_limits > 1],

@@ -1,8 +1,13 @@
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 
+import tpflag
 from tpflag import RationalMatrix, evaluate_params, sample_positive
 from tpflag.cli import CampaignConfig, main
 from tpflag.theta import SolverConfig
@@ -289,6 +294,14 @@ class TestVerify:
         assert [row.split(",")[3] for row in rows] == ["inf", "inf"]
         assert not list(tmp_path.glob("counterexample-*.json"))
 
+        def reject(token):  # Infinity and NaN are not JSON (RFC 8259)
+            raise ValueError(f"non-standard JSON constant {token}")
+
+        summary = json.loads((tmp_path / "campaign.json").read_text(),
+                             parse_constant=reject)
+        assert summary["max_residual"] is None
+        assert summary["max_roundtrip_err"] is None
+
     @pytest.mark.parametrize("field,value", [
         ("starts", 0), ("max_iterations", 0), ("newton_tolerance", 0.0),
         ("residual_tolerance", -1e-9), ("cluster_threshold", 0.0)])
@@ -431,3 +444,141 @@ class TestSample:
     def test_bad_kind_rejected(self, capsys):
         with pytest.raises(SystemExit):
             main(["sample", "--kind", "weird", "--n", "3"])
+
+
+# numpy's compiled core: present in sys.modules once numpy has executed
+# (numpy.core in numpy 1, numpy._core in numpy 2)
+NUMPY_EXECUTED = "any(m.endswith('._multiarray_umath') for m in sys.modules)"
+
+CLI_PROBE = ("import sys\n"
+             "from tpflag.cli import main\n"
+             "code = main(sys.argv[1:])\n"
+             "sys.stdout.flush()\n"
+             f"print('numpy executed:', {NUMPY_EXECUTED}, file=sys.stderr)\n"
+             "sys.exit(code)\n")
+
+
+def run_fresh(script, *argv):
+    """Run a Python script in a new interpreter that imports this tpflag."""
+    src = str(Path(tpflag.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    return subprocess.run([sys.executable, "-c", script, *argv], env=env,
+                          capture_output=True, text=True, check=False)
+
+
+@pytest.fixture
+def cli_inputs(tmp_path, capsys):
+    """Input files for every subcommand, written by the in-process CLI."""
+    def sample(kind, n, seed):
+        path = str(tmp_path / f"{kind}{n}.json")
+        assert run(capsys, "sample", "--kind", kind, "--n", str(n),
+                   "--seed", str(seed), "--output", path)[0] == 0
+        return path
+
+    w0 = longest_element(range(1, 3), 3)
+    uprime = RationalMatrix.from_rows([[1, 0], [1, 1]])
+    fibre = (uprime @ RationalMatrix.from_rows([[1, 1], [0, 1]])
+             @ RationalMatrix.diagonal([F(2), F(1, 2)]) @ uprime.inverse())
+    return {
+        "lower": matrix_file(tmp_path, "lower.json", uprime),
+        "upper": matrix_file(tmp_path, "upper.json", uprime.transpose()),
+        "g": sample("g", 3, 4),
+        "identity": matrix_file(tmp_path, "id.json", RationalMatrix.identity(3)),
+        "instance2": sample("instance", 2, 9),
+        "instance3": sample("instance", 3, 5),
+        "fibre": matrix_file(tmp_path, "fibre.json", fibre),
+        "u": matrix_file(tmp_path, "u.json", evaluate_params(
+            sample_positive(w0, "lower", 6), "lower", 3)),
+    }
+
+
+EXACT_CALLS = [
+    ("check", "{lower}", "--kind", "lower"),
+    ("check", "{upper}", "--kind", "upper"),
+    ("check", "{g}", "--kind", "g"),
+    ("check", "{identity}", "--kind", "g"),
+    *[("sample", "--kind", kind, "--n", "3", "--seed", "7")
+      for kind in ("lower", "upper", "g", "torus", "instance")],
+    ("theta", "forward", "--instance", "{instance3}"),
+    *[("theta", "solve", "--instance", f"{{instance{n}}}", "--method", method)
+      for n in (2, 3) for method in ("auto", "closed")],
+    ("flag", "sigma", "--g", "{fibre}", "--b", "{lower}"),
+    ("flag", "split", "{u}", "--J", "1"),
+]
+
+FLOAT_CALLS = [
+    ("flag", "zeta", "{g}"),
+    ("flag", "classify", "{g}", "--J", "1"),
+    ("theta", "solve", "--instance", "{instance2}", "--method", "numeric"),
+]
+
+PUBLIC_NAMES = sorted("""
+    CampaignReport CellCoordinates DEFAULT_TOLERANCES DecompositionUnavailable
+    EigenFlag EigenvalueCollision FlagComputationError FlagPoint FloatTolerances
+    GaussFactors LusztigParams MembershipViolation MinorWitness NoConvergence
+    NotInCell NotInFibre NotInTorusSet NotPositive ParabolicPoint
+    PositivityVerdict RationalMatrix SolveReport SolverConfig ThetaInstance
+    TorusPoint TotalPositivityError WeylElement ZSystem check_partition
+    colex_subsets concat_is_reduced eigen_flag errors evaluate_params exactmat
+    exterior_power extract_params flag gamma_p_point gauss_decompose
+    is_g_positive is_reduced is_totally_positive_unitriangular length
+    longest_element minor perfect_nth_root perron_line_check prng reduced_word
+    relevant_minor_pairs sample_g_positive sample_positive
+    sample_torus_in_domain sample_torus_matrix sigma_b sigma_b_inverse
+    sl3_root_pair snap_matrix split_cell theta theta_forward
+    theta_inverse_numeric theta_inverse_sl2 theta_inverse_sl3 torus_conjugate
+    torus_set_membership totpos verify_conjecture weyl z_function zeta
+    zeta_j""".split())
+
+
+class TestNumpyOnDemand:
+    """numpy executes on the first float computation, not at import."""
+
+    @pytest.mark.parametrize("argv,loads", [(a, False) for a in EXACT_CALLS]
+                             + [(a, True) for a in FLOAT_CALLS],
+                             ids=lambda v: " ".join(v) if isinstance(v, tuple) else None)
+    def test_cli_call_loads_numpy_only_for_floats(self, capsys, cli_inputs,
+                                                  argv, loads):
+        argv = [arg.format(**cli_inputs) for arg in argv]
+        code, out = run(capsys, *argv)
+        fresh = run_fresh(CLI_PROBE, *argv)
+        assert (fresh.returncode, fresh.stdout) == (code, out)
+        assert fresh.stderr.splitlines()[-1] == f"numpy executed: {loads}"
+
+    def test_import_and_star_import_leave_numpy_unloaded(self):
+        fresh = run_fresh(
+            "import sys, tpflag\n"
+            "names = {}\n"
+            "exec('from tpflag import *', names)\n"
+            "print(sorted(set(names) - {'__builtins__'}))\n"
+            f"print({NUMPY_EXECUTED})\n")
+        assert fresh.returncode == 0, fresh.stderr
+        names, executed = fresh.stdout.splitlines()
+        assert executed == "False"
+        assert names == str(PUBLIC_NAMES)
+
+    def test_lazy_binding_is_the_loaded_numpy(self):
+        fresh = run_fresh(
+            "import sys, numpy\n"
+            "before = sys.modules['numpy']\n"
+            "import tpflag.flag, tpflag.theta\n"
+            "print(tpflag.theta.np is numpy, tpflag.flag.np is numpy,\n"
+            "      sys.modules['numpy'] is before)\n")
+        assert (fresh.returncode, fresh.stdout) == (0, "True True True\n")
+
+    def test_first_float_call_gives_the_same_bits(self, cli_inputs):
+        script = ("import json, sys, tpflag\n"
+                  f"print({NUMPY_EXECUTED})\n"
+                  "g = tpflag.RationalMatrix.from_json_dict(\n"
+                  "    json.load(open(sys.argv[1]))['matrix'])\n"
+                  "ef = tpflag.eigen_flag(g)\n"
+                  "print([x.hex() for x in ef.eigenvalues]\n"
+                  "      + [x.hex() for row in ef.basis for x in row])\n")
+        lazy = run_fresh(script, cli_inputs["g"])
+        eager = run_fresh("import numpy\n" + script, cli_inputs["g"])
+        assert lazy.returncode == eager.returncode == 0, lazy.stderr + eager.stderr
+        assert lazy.stdout.splitlines()[0] == "False"
+        assert eager.stdout.splitlines()[0] == "True"
+        assert lazy.stdout.splitlines()[1] == eager.stdout.splitlines()[1]
+
