@@ -7,7 +7,9 @@ totally positive g to the Borel spanned by its eigenbasis flag (float
 eigenwork), the fibre over a Borel is coordinatized exactly through the
 Gaussian decomposition and the torus target map, and parabolic
 classification is cross-checked against leading eigenlines of wedge
-powers.
+powers.  ``zeta_j``, ``perron_line_check`` and ``check_partition`` are
+views of one classification pass per (g, J), which keeps its last
+result.
 
 This module is the float zone of the package: eigen decompositions are
 irrational, so tolerances live here and are all configurable.  Exact
@@ -16,6 +18,7 @@ rational paths are used wherever the data allows it.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Optional
@@ -403,27 +406,29 @@ def _leading_lines(rows, J: tuple) -> dict:
             for j in range(1, n) if j not in J}
 
 
-def _classify(g: RationalMatrix, J: Iterable[int], tol: FloatTolerances):
-    """Sorted J, the float Borel representative with its eigen flag, and
-    the coset part of that representative (the parabolic one)."""
-    J = _sorted_letters(J)
+@functools.lru_cache(maxsize=1)
+def _classify(g: RationalMatrix, J: tuple, tol: FloatTolerances):
+    """The one classification pass behind ``zeta_j``, ``perron_line_check``
+    and ``check_partition`` for sorted J: the coset part of the float
+    Borel representative, and per j outside J the distance of the leading
+    eigenline of the exact j-th wedge power of g from the leading lines
+    of the eigenbasis and of the coset part, and the distance of the
+    Borel representative's leading line from the coset part's.  Only
+    immutable data is returned; the last pass is kept, as callers ask for
+    the three views of one (g, J) back to back."""
     lower, ef = _zeta_impl(g, tol)
     first, _ = split_cell(lower, J, atol=tol.split_atol)
-    return J, lower, ef, first
-
-
-def _perron_deviations(g: RationalMatrix, J: tuple, ef: EigenFlag, first):
-    """Yield (j, basis deviation, split deviation) for each j outside J:
-    the distance of the leading eigenline of the exact j-th wedge power
-    of g from the leading lines of the eigenbasis and of ``first``."""
-    from_basis = _leading_lines(ef.basis, J)
-    from_split = _leading_lines(first, J)
+    from_basis, from_split, borel = (_leading_lines(rows, J)
+                                     for rows in (ef.basis, first, lower))
+    per_j = []
     for j in from_basis:
         wedge = np.array(exterior_power(g, j).to_float())
         values, vectors = np.linalg.eig(wedge)
         perron = _normalize_line(vectors[:, int(np.argmax(values.real))].real)
-        yield (j, float(np.max(np.abs(perron - from_basis[j]))),
-               float(np.max(np.abs(perron - from_split[j]))))
+        per_j.append((j, float(np.max(np.abs(perron - from_basis[j]))),
+                      float(np.max(np.abs(perron - from_split[j]))),
+                      float(np.max(np.abs(borel[j] - from_split[j])))))
+    return first, tuple(per_j)
 
 
 def perron_line_check(g: RationalMatrix, J: Iterable[int],
@@ -434,15 +439,12 @@ def perron_line_check(g: RationalMatrix, J: Iterable[int],
     eigenvectors of g, and the leading-column wedge of the parabolic
     representative from the splitting route.  Returns per-j deviations
     and an overall flag."""
-    J, _, ef, first = _classify(g, J, tol)
-    out = {"J": list(J), "per_j": {}, "ok": True, "max_deviation": 0.0}
-    for j, basis_dev, split_dev in _perron_deviations(g, J, ef, first):
-        dev = max(basis_dev, split_dev)
-        out["per_j"][j] = dev
-        out["max_deviation"] = max(out["max_deviation"], dev)
-        if dev > tol.line_agreement:
-            out["ok"] = False
-    return out
+    J = _sorted_letters(J)
+    devs = {j: max(basis_dev, split_dev)
+            for j, basis_dev, split_dev, _ in _classify(g, J, tol)[1]}
+    return {"J": list(J), "per_j": devs,
+            "ok": not any(dev > tol.line_agreement for dev in devs.values()),
+            "max_deviation": max((0.0, *devs.values()))}
 
 
 def zeta_j(g: RationalMatrix, J: Iterable[int],
@@ -450,8 +452,9 @@ def zeta_j(g: RationalMatrix, J: Iterable[int],
     """The positive parabolic of type J through g: split the Borel
     representative and keep the coset part.  Uniqueness is cross-checked
     through the wedge eigenlines; disagreement aborts."""
-    J, _, ef, first = _classify(g, J, tol)
-    for j, dev, _ in _perron_deviations(g, J, ef, first):
+    J = _sorted_letters(J)
+    first, per_j = _classify(g, J, tol)
+    for j, dev, _, _ in per_j:
         if dev > tol.line_agreement:
             raise FlagComputationError(
                 f"wedge index {j}: leading eigenline deviates from the "
@@ -482,7 +485,4 @@ def check_partition(g: RationalMatrix, J: Iterable[int],
     for each j outside J the first j columns of the Borel representative
     span the same subspace as those of the parabolic representative: their
     normalized wedge lines agree entrywise within ``tol.compare``."""
-    J, lower, _, first = _classify(g, J, tol)
-    borel, parabolic = _leading_lines(lower, J), _leading_lines(first, J)
-    return all(float(np.max(np.abs(borel[j] - parabolic[j]))) <= tol.compare
-               for j in borel)
+    return all(dev <= tol.compare for *_, dev in _classify(g, _sorted_letters(J), tol)[1])

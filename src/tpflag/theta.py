@@ -126,17 +126,16 @@ class ThetaInstance:
             raise ValueError("instance needs at least one of t, z")
 
     @classmethod
-    def from_json_dict(cls, data: dict, check_membership: bool = True) -> "ThetaInstance":
+    def from_json_dict(cls, data: dict) -> "ThetaInstance":
         if "u" not in data or "uprime" not in data:
             raise ValueError("instance needs 'u' and 'uprime' matrices")
         u = RationalMatrix.from_json_dict(data["u"])
         uprime = RationalMatrix.from_json_dict(data["uprime"])
-        if check_membership:
-            for name, m in (("u", u), ("uprime", uprime)):
-                verdict = is_totally_positive_unitriangular(m, "lower")
-                if not verdict.member:
-                    raise ValueError(f"{name} is not totally positive: "
-                                     f"{verdict.witness.describe()}")
+        for name, m in (("u", u), ("uprime", uprime)):
+            verdict = is_totally_positive_unitriangular(m, "lower")
+            if not verdict.member:
+                raise ValueError(f"{name} is not totally positive: "
+                                 f"{verdict.witness.describe()}")
         t = None
         if data.get("t") is not None:
             t = TorusPoint(tuple(_parse_scalar(x) for x in data["t"]))

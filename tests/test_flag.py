@@ -1,3 +1,5 @@
+import copy
+import json
 import math
 from fractions import Fraction as F
 from itertools import combinations
@@ -16,6 +18,7 @@ from tpflag import (CellCoordinates, EigenvalueCollision, FlagComputationError,
                     sample_g_positive, sample_positive, sigma_b,
                     sigma_b_inverse, split_cell, theta_forward,
                     torus_set_membership, zeta, zeta_j)
+from tpflag.cli import main
 from tpflag.errors import MembershipViolation, NotInTorusSet
 from tpflag.prng import SplitMix64, derive_seed
 from tpflag.totpos import MinorWitness, PositivityVerdict
@@ -350,7 +353,82 @@ class TestPartition:
                 assert check_partition(g, J)
 
 
+def count_calls(monkeypatch, *names):
+    """Replace the named ``tpflag.flag`` bindings by wrappers that count
+    their calls; returns the live counts."""
+    counts = dict.fromkeys(names, 0)
+    for name in names:
+        def counted(*args, _real=getattr(flag_module, name), _name=name, **kwargs):
+            counts[_name] += 1
+            return _real(*args, **kwargs)
+        monkeypatch.setattr(flag_module, name, counted)
+    return counts
+
+
 class TestOneClassificationPass:
+    @pytest.fixture(autouse=True)
+    def fresh_pass(self):
+        # no kept pass leaks into or out of these tests
+        flag_module._classify.cache_clear()
+        yield
+        flag_module._classify.cache_clear()
+
+    def test_three_views_run_one_pass(self, monkeypatch):
+        g = sample_g_positive(4, seed=5)
+        counts = count_calls(monkeypatch, "eigen_flag", "is_g_positive", "exterior_power")
+        for J in all_parabolic_sets(4):
+            counts.update(dict.fromkeys(counts, 0))
+            zeta_j(g, J)
+            perron_line_check(g, J)
+            check_partition(g, J)
+            assert counts == {"eigen_flag": 1, "is_g_positive": 1,
+                              "exterior_power": 3 - len(J)}
+
+    def test_new_J_tol_or_g_starts_a_new_pass(self, monkeypatch):
+        g, other = sample_g_positive(4, seed=6), sample_g_positive(4, seed=7)
+        loose = FloatTolerances(compare=1e-6)
+        counts = count_calls(monkeypatch, "eigen_flag")
+        steps = [((g, (1,)), 1), ((g, (1,)), 1), ((g, (2,)), 2),
+                 ((g, (2,), loose), 3), ((other, (2,), loose), 4),
+                 ((other, [2], loose), 4)]
+        for args, passes in steps:
+            check_partition(*args)
+            assert counts["eigen_flag"] == passes
+
+    def test_perron_dict_is_fresh_on_every_call(self):
+        g, J = sample_g_positive(4, seed=8), (1,)
+        first = perron_line_check(g, J)
+        expected = copy.deepcopy(first)
+        first["J"].append(99)
+        first["per_j"].clear()
+        first["ok"] = None
+        assert perron_line_check(g, J) == expected
+
+    def test_non_member_raises_on_every_call(self, monkeypatch):
+        bad = RationalMatrix.from_rows([[1, -1, 0], [0, 1, 0], [0, 0, 1]])
+        counts = count_calls(monkeypatch, "is_g_positive")
+        views = (zeta_j, perron_line_check, check_partition, zeta_j)
+        for calls, view in enumerate(views, 1):
+            with pytest.raises(NotPositive):
+                view(bad, (1,))
+            assert counts["is_g_positive"] == calls
+
+    def test_list_J_matches_tuple_J(self, monkeypatch):
+        g = sample_g_positive(5, seed=9)
+        counts = count_calls(monkeypatch, "eigen_flag")
+        for view in (zeta_j, perron_line_check, check_partition):
+            assert view(g, [3, 1, 3]) == view(g, (1, 3))
+        assert zeta_j(g, [3, 1]).J == (1, 3)
+        assert counts["eigen_flag"] == 1
+
+    def test_cli_classify_runs_one_pass(self, monkeypatch, tmp_path, capsys):
+        path = tmp_path / "g.json"
+        path.write_text(json.dumps(sample_g_positive(4, seed=10).to_json_dict()))
+        counts = count_calls(monkeypatch, "eigen_flag")
+        assert main(["flag", "classify", str(path), "--J", "2"]) == 0
+        assert json.loads(capsys.readouterr().out)["perron_check"]["ok"]
+        assert counts["eigen_flag"] == 1
+
     def test_check_partition_sees_a_moved_coset_entry(self, monkeypatch):
         # a coset part whose leading columns no longer span the Borel's
         # leading subspaces must fail the check
@@ -366,6 +444,7 @@ class TestOneClassificationPass:
             return tuple(tuple(row) for row in rows), second
 
         monkeypatch.setattr(flag_module, "split_cell", moved_split)
+        flag_module._classify.cache_clear()
         assert not check_partition(g, J)
 
     def test_zeta_j_and_perron_check_share_the_verdict(self):
