@@ -11,15 +11,17 @@ characterize via minors.
 
 Each membership test checks only a minimal set of minors: the n(n-1)/2
 corner minors for a unit-triangular matrix (Fomin & Zelevinsky) and the
-n^2 initial minors for an element of SL_n (Gasca & Peña).  The
-brute-force all-minors criteria they replace live on as oracles in the
-test suite (``tests/oracles.py``).
+n^2 initial minors for an element of SL_n (Gasca & Peña).  All of them
+lie on contiguous rows against columns {1..k} of the matrix or of its
+transpose, so one fraction-free table pass yields them size by size.
+The brute-force criteria live on as oracles in ``tests/oracles.py``.
 
 Everything here is exact rational arithmetic.  Cell evaluation and
 parameter extraction also run on floats, for the flag pipeline;
 extraction then needs an explicit tolerance.
 """
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -261,49 +263,62 @@ def relevant_minor_pairs(n: int, sign: str) -> tuple:
     return pairs
 
 
-@lru_cache(maxsize=None)
-def _initial_minor_pairs(n: int) -> tuple:
-    """The n^2 initial minors of Gasca & Peña: contiguous rows and
-    columns, one of the two sets starting at 1; size, then colex."""
-    pairs = []
-    for k in range(1, n + 1):
-        pairs.extend((_interval(1, k), _interval(c, k)) for c in range(1, n - k + 2))
-        pairs.extend((_interval(r, k), _interval(1, k)) for r in range(2, n - k + 2))
-    return tuple(pairs)
-
-
 def _check_dimension(n: int):
     if n > MAX_DIMENSION:
         raise ValueError(f"positivity tests are limited to n <= {MAX_DIMENSION}")
 
 
-def _first_nonpositive(m: RationalMatrix, pairs) -> PositivityVerdict:
-    for rows, cols in pairs:
-        value = _submatrix_det(m.rows, rows, cols)
-        if value <= 0:
-            return PositivityVerdict(False, MinorWitness(rows, cols, value,
-                                                         "must be > 0"))
+def _window_levels(rows):
+    """Yield (level, scales) for k = 1..n: level[s][j] is the minor on rows
+    s+1..s+k against columns {1..k-1, k+j}, times the lcms ``scales`` of
+    those rows' denominators.  Level k+1 divides exactly by the entries
+    E_{k-1}(s, k-1), s >= 1, of level k-1 (Desnanot-Jacobi): E_{k+1}(s, c) =
+    (E_k(s, k) E_k(s+1, c) - E_k(s, c) E_k(s+1, k)) / E_{k-1}(s+1, k-1)."""
+    scales = [math.lcm(*(x.denominator for x in row)) for row in rows]
+    level = [[x.numerator * (d // x.denominator) for x in row]
+             for row, d in zip(rows, scales)]
+    prev = [[1]] * len(level)
+    while level:
+        yield level, scales
+        level, prev = ([[(top[0] * bot[j] - top[j] * bot[0]) // below[0]
+                         for j in range(1, len(top))]
+                        for top, bot, below in zip(level, level[1:], prev[1:])], level)
+
+
+def _first_nonpositive_window(m: RationalMatrix, transposes) -> PositivityVerdict:
+    """The first minor <= 0 on k < n contiguous rows against columns {1..k}:
+    by k, then over m or m^T as ``transposes`` says, then top to bottom.
+    The tables step in lockstep and stop before such a minor divides."""
+    tables = [_window_levels(tuple(zip(*m.rows)) if t else m.rows) for t in transposes]
+    for k, levels in zip(range(1, m.n), zip(*tables)):
+        for (level, scales), transposed in zip(levels, transposes):
+            for s, window in enumerate(level):
+                if window[0] <= 0:
+                    pair = (_interval(s + 1, k), _interval(1, k))
+                    value = Fraction(window[0], math.prod(scales[s:s + k]))
+                    return PositivityVerdict(False, MinorWitness(
+                        *(pair[::-1] if transposed else pair), value, "must be > 0"))
     return PositivityVerdict(True)
 
 
 def is_totally_positive_unitriangular(u: RationalMatrix, sign: str) -> PositivityVerdict:
-    """Membership in the totally positive unit-triangular semigroup:
-    the corner minors of :func:`relevant_minor_pairs` are strictly
-    positive.  The witness is the first one that is not; exact."""
+    """Membership in the totally positive unit-triangular semigroup: the
+    corner minors of :func:`relevant_minor_pairs`, from a table pass over u
+    (u^T on the upper side), are > 0.  The witness is the first that is not."""
     _check_sign(sign)
     _check_dimension(u.n)
     if not u.is_unit_triangular(sign):
         raise ValueError(f"input is not unit {sign} triangular")
-    return _first_nonpositive(u, relevant_minor_pairs(u.n, sign))
+    return _first_nonpositive_window(u, (sign == "upper",))
 
 
 def is_g_positive(g: RationalMatrix) -> PositivityVerdict:
     """Membership in the totally positive semigroup of SL_n.
 
     Determinant != 1 is a negative verdict, not an error.  Otherwise g is
-    totally positive iff its n^2 initial minors are strictly positive
-    (Gasca & Peña, Linear Algebra Appl. 165, 1992); the witness is the
-    first one, by size then colex, that is not.
+    totally positive iff its n^2 initial minors, from table passes over g^T
+    then g, are strictly positive (Gasca & Peña, Linear Algebra Appl. 165,
+    1992); the witness is the first one, by size then colex, that is not.
     """
     _check_dimension(g.n)
     det = g.det()
@@ -312,7 +327,7 @@ def is_g_positive(g: RationalMatrix) -> PositivityVerdict:
         return PositivityVerdict(False, MinorWitness(full, full, det,
                                                      "determinant must be 1"))
     # the last initial minor is det g itself, already known to be 1
-    return _first_nonpositive(g, _initial_minor_pairs(g.n)[:-1])
+    return _first_nonpositive_window(g, (True, False))
 
 
 # ---------------------------------------------------------------------------

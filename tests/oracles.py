@@ -11,8 +11,8 @@ from itertools import combinations, permutations
 
 import numpy as np
 
-from tpflag import (DecompositionUnavailable, RationalMatrix, gauss_decompose,
-                    is_totally_positive_unitriangular)
+from tpflag import (DecompositionUnavailable, MinorWitness, PositivityVerdict,
+                    RationalMatrix, gauss_decompose, is_totally_positive_unitriangular)
 from tpflag.exactmat import colex_subsets
 from tpflag.flag import _normalize_line
 from tpflag.weyl import WeylElement
@@ -123,6 +123,24 @@ def initial_pairs(n: int) -> set:
     at least one of them starts at 1."""
     return {(rows, cols) for rows, cols in all_pairs(n)
             if _is_interval(rows) and _is_interval(cols) and 1 in (rows[0], cols[0])}
+
+
+def size_colex(pair):
+    """Sort key of (rows, cols) pairs: by size, then colexicographically."""
+    rows, cols = pair
+    return len(rows), rows[::-1], cols[::-1]
+
+
+def first_nonpositive(m, pairs) -> PositivityVerdict:
+    """Scan ``pairs`` by size, then colex, with permutation-sum minors:
+    the first minor <= 0 is the witness.  With the corner pairs this is
+    the unit-triangular test; with the initial pairs below size n, the
+    test on an element of determinant 1."""
+    for rows, cols in sorted(pairs, key=size_colex):
+        value = permutation_sum_minor(m, rows, cols)
+        if value <= 0:
+            return PositivityVerdict(False, MinorWitness(rows, cols, value, "must be > 0"))
+    return PositivityVerdict(True)
 
 
 def brute_force_unitriangular(u, sign: str) -> bool:

@@ -1,21 +1,22 @@
+import math
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from tpflag import (LusztigParams, NotInCell, RationalMatrix,
+from tpflag import (LusztigParams, MinorWitness, NotInCell, RationalMatrix,
                     evaluate_params, extract_params, is_g_positive,
                     is_totally_positive_unitriangular, relevant_minor_pairs,
                     sample_g_positive, sample_positive, sample_torus_matrix)
 from tpflag.prng import SplitMix64, derive_seed
-from tpflag.totpos import _evaluate_rows, _initial_minor_pairs
+from tpflag.totpos import _evaluate_rows, _window_levels
 from tpflag.weyl import WeylElement, longest_element, reduced_word
 
 from oracles import (all_reduced_words, brute_force_g_positive,
                      brute_force_unitriangular, corner_pairs, elementary,
-                     factorization_positive, initial_pairs, nonvanishing_pairs,
-                     permutation_sum_minor)
+                     factorization_positive, first_nonpositive, initial_pairs,
+                     nonvanishing_pairs, permutation_sum_minor, size_colex)
 
 positive_fractions = st.fractions(min_value=F(1, 6), max_value=6, max_denominator=6)
 
@@ -34,11 +35,6 @@ letter_draws = st.lists(st.tuples(st.integers(0, 59), positive_fractions), max_s
 
 def letter_word(draws, n):
     return (tuple(1 + x % (n - 1) for x, _ in draws), tuple(a for _, a in draws))
-
-
-def size_colex(pair):
-    rows, cols = pair
-    return len(rows), rows[::-1], cols[::-1]
 
 
 def cell_point(params, sign, n):
@@ -68,6 +64,27 @@ def spoiled_g(n, seed, side, how):
                   else sample_positive(w0(n), sign, seed_k).params)
         factors.append(cell_point(params, sign, n))
     return factors[0] @ sample_torus_matrix(n, derive_seed(seed, 1)) @ factors[1]
+
+
+def interval(start, k):
+    return tuple(range(start, start + k))
+
+
+def first_nonpositive_g(g):
+    """The oracle verdict of is_g_positive on an element of determinant 1,
+    which is checked first: a scan of the initial minors below size n."""
+    assert g.det() == 1
+    return first_nonpositive(g, {p for p in initial_pairs(g.n) if len(p[0]) < g.n})
+
+
+def with_minor(m, rows, cols, value):
+    """m with the entry at the last row and column of the window moved so
+    that the minor on the window equals ``value``; every minor that does
+    not contain that entry keeps its value."""
+    entries = [list(row) for row in m.rows]
+    cofactor = m.minor(rows[:-1], cols[:-1]) if len(rows) > 1 else 1
+    entries[rows[-1] - 1][cols[-1] - 1] += (value - m.minor(rows, cols)) / cofactor
+    return RationalMatrix.from_rows(entries)
 
 
 def assert_witness_is_sound(verdict, m):
@@ -397,6 +414,7 @@ class TestOracleAgreement:
             verdict = is_totally_positive_unitriangular(u, sign)
             assert verdict.member == brute_force_unitriangular(u, sign) == member
             assert_witness_is_sound(verdict, u)
+            assert verdict == first_nonpositive(u, corner_pairs(n, sign))
 
     @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
     @pytest.mark.parametrize("side", ["lower", "upper"])
@@ -408,6 +426,7 @@ class TestOracleAgreement:
             verdict = is_g_positive(g)
             assert verdict.member == brute_force_g_positive(g) == member
             assert_witness_is_sound(verdict, g)
+            assert verdict == first_nonpositive_g(g)
 
     @given(st.integers(2, 5), st.sampled_from(["lower", "upper"]),
            st.lists(st.fractions(min_value=-2, max_value=4, max_denominator=3),
@@ -417,6 +436,7 @@ class TestOracleAgreement:
         verdict = is_totally_positive_unitriangular(u, sign)
         assert verdict.member == brute_force_unitriangular(u, sign)
         assert_witness_is_sound(verdict, u)
+        assert verdict == first_nonpositive(u, corner_pairs(n, sign))
 
     @given(st.integers(2, 4),
            st.lists(st.fractions(min_value=-1, max_value=4, max_denominator=3),
@@ -430,12 +450,7 @@ class TestOracleAgreement:
         verdict = is_g_positive(g)
         assert verdict.member == brute_force_g_positive(g)
         assert_witness_is_sound(verdict, g)
-
-    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 7, 8])
-    def test_initial_minors_match_combinatorial_rule(self, n):
-        pairs = _initial_minor_pairs(n)
-        assert pairs == tuple(sorted(initial_pairs(n), key=size_colex))
-        assert len(pairs) == n * n
+        assert verdict == first_nonpositive_g(g)
 
     @pytest.mark.parametrize("n", [7, 8])
     def test_large_n_matches_factorization_route(self, n):
@@ -446,18 +461,99 @@ class TestOracleAgreement:
             verdict = is_g_positive(g)
             assert verdict.member == factorization_positive(g) == member
             assert_witness_is_sound(verdict, g)
+            assert verdict == first_nonpositive_g(g)
 
     @pytest.mark.parametrize("sign", ["lower", "upper"])
     def test_large_n_unitriangular(self, sign):
         for n in (7, 8):
-            u = evaluate_params(sample_positive(w0(n), sign, n), sign, n)
-            assert is_totally_positive_unitriangular(u, sign).member
-            bad = cell_point(spoiled_params(n, sign, n, "zero"), sign, n)
-            assert not is_totally_positive_unitriangular(bad, sign).member
+            points = [(evaluate_params(sample_positive(w0(n), sign, n), sign, n), True)]
+            points += [(cell_point(spoiled_params(n, sign, n, how), sign, n), False)
+                       for how in ("zero", "negative")]
+            for u, member in points:
+                verdict = is_totally_positive_unitriangular(u, sign)
+                assert verdict.member == member
+                assert verdict == first_nonpositive(u, corner_pairs(n, sign))
 
     def test_dimension_cap(self):
         with pytest.raises(ValueError):
             is_g_positive(RationalMatrix.identity(9))
+
+
+def g_with_minor(n, rows, cols, value, seed):
+    """A sampled member moved by :func:`with_minor` to ``value`` on the
+    window, then by its entry (n, n) back to determinant 1.  Of the
+    initial minors only det g contains that entry, so every initial minor
+    before the window, by size then colex, stays > 0."""
+    g = with_minor(sample_g_positive(n, seed), rows, cols, value)
+    return with_minor(g, interval(1, n), interval(1, n), 1)
+
+
+class TestWitnessOrder:
+    """A minor <= 0 placed at each level: both membership tests stop
+    there and report it, the same full witness (rows, cols, value, note)
+    as a permutation-sum scan of their minors by size, then colex; the
+    oracle agreement tests above compare the witness on cell points."""
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 7, 8])
+    @pytest.mark.parametrize("initial", ["rows", "cols"])
+    def test_g_stops_at_the_level_of_a_nonpositive_minor(self, n, initial):
+        # a minor of size k on rows {r..} x cols {1..k}, r >= 2, divides
+        # the level k + 2 of the table; the scan must stop at level k
+        for k in range(1, n):
+            for value in (0, -1):
+                # a leading principal minor of size n - 1 that vanishes
+                # would leave no entry (n, n) to restore det g = 1 with
+                start = 2 + value if k == n - 1 else 1 + (k + value) % (n - k + 1)
+                rows, cols = interval(start, k), interval(1, k)
+                g = g_with_minor(n, rows, cols, value, derive_seed(n, k))
+                if initial == "rows":
+                    g, rows, cols = g.transpose(), cols, rows
+                verdict = is_g_positive(g)
+                assert verdict == first_nonpositive_g(g)
+                assert verdict.witness == MinorWitness(rows, cols, value, "must be > 0")
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 7, 8])
+    @pytest.mark.parametrize("sign", ["lower", "upper"])
+    def test_unitriangular_stops_at_the_level_of_a_nonpositive_minor(self, n, sign):
+        for k in range(1, n):
+            for value in (0, -1):
+                start = 2 + (k + value) % (n - k)
+                rows, cols = interval(start, k), interval(1, k)
+                u = evaluate_params(sample_positive(w0(n), "lower", derive_seed(n, k)),
+                                    "lower", n)
+                u = with_minor(u, rows, cols, value)
+                if sign == "upper":
+                    u, rows, cols = u.transpose(), cols, rows
+                verdict = is_totally_positive_unitriangular(u, sign)
+                assert verdict == first_nonpositive(u, corner_pairs(n, sign))
+                assert verdict.witness == MinorWitness(rows, cols, value, "must be > 0")
+
+
+def assert_table_is_window_minors(m):
+    """Every entry of every level of the table over m's rows is the minor
+    of its window; examples where a divisor of the next level vanishes
+    are rejected."""
+    for k, (level, scales) in enumerate(_window_levels(m.rows), 1):
+        for s, window in enumerate(level):
+            for j, entry in enumerate(window):
+                minor = permutation_sum_minor(m, interval(s + 1, k),
+                                              interval(1, k - 1) + (k + j,))
+                assert F(entry, math.prod(scales[s:s + k])) == minor
+        assume(all(window[0] != 0 for window in level[1:]))
+
+
+class TestWindowTable:
+    @given(st.integers(2, 6), st.lists(st.integers(-6, 6), min_size=36, max_size=36))
+    def test_integer_entries(self, n, values):
+        assert_table_is_window_minors(
+            RationalMatrix.from_rows([values[n * i:n * (i + 1)] for i in range(n)]))
+
+    @settings(max_examples=3)
+    @given(st.lists(st.fractions(min_value=-6, max_value=6, max_denominator=6),
+                    min_size=64, max_size=64))
+    def test_rational_entries_at_the_dimension_cap(self, values):
+        assert_table_is_window_minors(
+            RationalMatrix.from_rows([values[8 * i:8 * (i + 1)] for i in range(8)]))
 
 
 class TestSampling:
