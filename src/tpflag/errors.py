@@ -43,11 +43,7 @@ class NotInTorusSet(TotalPositivityError):
 class NoConvergence(TotalPositivityError):
     """No Newton start reached the residual tolerance.  This is
     evidence, not a bug: it must be surfaced to the caller, never
-    swallowed.  ``report`` holds whatever partial data was gathered."""
-
-    def __init__(self, message, report=None):
-        super().__init__(message)
-        self.report = report
+    swallowed."""
 
 
 class EigenvalueCollision(TotalPositivityError):

@@ -383,6 +383,8 @@ class SolverConfig:
     def __post_init__(self):
         if self.starts < 1 or self.max_iterations < 1:
             raise ValueError("starts and max_iterations must be >= 1")
+        if not self.membership_margin >= 0:  # keeps every accepted z_j > 0
+            raise ValueError("membership_margin must be >= 0")
         for name in ("newton_tolerance", "residual_tolerance",
                      "cluster_threshold"):
             if getattr(self, name) <= 0:
@@ -415,18 +417,21 @@ class SolveReport:
 
 
 class ZSystem:
-    """The target polynomials z_j(R) for fixed (u, u'), their partials,
-    and the float helpers the Newton solver needs.
+    """The corner minors of t u t^-1 u'^-1 for fixed (u, u') as
+    polynomials in the torus coordinates R: the targets z_j(R), their
+    partials, and the domain test of the Newton solver.
 
-    By Cauchy-Binet, with I = {n-j+1..n} and S over the j-subsets of
-    {1..n},
+    By Cauchy-Binet, for each lower pair of :func:`relevant_minor_pairs`,
+    rows I = {j+1..j+k} against columns {1..k}, and S over the k-subsets
+    of {1..n},
 
-        z_j(R) = sum_S  D_{I,S}(u) * D_{S,[1..j]}(u'^-1) * R^e(S),
+        D_I(R) = sum_S  D_{I,S}(u) * D_{S,[1..k]}(u'^-1) * R^e(S),
         e(S)_m = #{i in I : i > m} - #{s in S : s > m},
 
-    since conjugating by t scales the minor D_{I,S}(u) by t_I / t_S.
-    Coefficients are summed exactly, then frozen as floats for
-    evaluation."""
+    since conjugating by t scales the minor D_{I,S}(u) by t_I / t_S.  The
+    z_j are the pairs whose last row is n, and R lies in the domain iff
+    every D_I(R) is positive.  Coefficients are summed exactly, then
+    frozen as floats for evaluation."""
 
     def __init__(self, u: RationalMatrix, uprime: RationalMatrix):
         n = u.n
@@ -437,30 +442,27 @@ class ZSystem:
         self.n = n
         self.dim = n - 1
         binv = uprime.inverse()
-        self._uf = u.to_float()
-        self._binv = binv.to_float()
-        self._pairs = relevant_minor_pairs(n, "lower")
-
+        self._corner_polys = []
         self._z_polys = []
         self._dz_polys = []
-        for j in range(1, n):
-            rows = tuple(range(n - j + 1, n + 1))
-            zp = {}
-            for cols in combinations(range(1, n + 1), j):
-                c = _submatrix_det(u.rows, rows, cols)
+        for rows, cols in relevant_minor_pairs(n, "lower"):
+            poly = {}
+            for s in combinations(range(1, n + 1), len(cols)):
+                c = _submatrix_det(u.rows, rows, s)
                 if c:
-                    c *= _submatrix_det(binv.rows, cols, range(1, j + 1))
-                    e = tuple(sum(i > m for i in rows) - sum(s > m for s in cols)
+                    c *= _submatrix_det(binv.rows, s, cols)
+                    e = tuple(sum(i > m for i in rows) - sum(x > m for x in s)
                               for m in range(1, n))
-                    zp[e] = zp.get(e, 0) + c
-            zp = {e: c for e, c in zp.items() if c != 0}
-            self._z_polys.append(self._freeze(zp))
-            self._dz_polys.append(tuple(self._freeze(self._diff(zp, i))
-                                        for i in range(self.dim)))
+                    poly[e] = poly.get(e, 0) + c
+            self._corner_polys.append(self._freeze(poly))
+            if rows[-1] == n:
+                self._z_polys.append(self._corner_polys[-1])
+                self._dz_polys.append(tuple(self._freeze(self._diff(poly, i))
+                                            for i in range(self.dim)))
 
     @staticmethod
     def _freeze(poly: dict) -> tuple:
-        return tuple((float(c), e) for e, c in sorted(poly.items()))
+        return tuple((float(c), e) for e, c in sorted(poly.items()) if c)
 
     @staticmethod
     def _diff(poly: dict, i: int) -> dict:
@@ -490,11 +492,14 @@ class ZSystem:
         return np.array([[self._eval(self._dz_polys[j][i], R)
                           for i in range(self.dim)] for j in range(self.dim)])
 
-    def matrix(self, R):
-        return _conjugated_product(self._uf, self._binv, R, float)
-
     def membership(self, R, margin: float) -> bool:
-        return _float_membership(self.matrix(R), self._pairs, margin)[0]
+        """Does every corner value lie in (margin, inf)?  Python floats carry
+        inf and NaN silently; a power past the float range rejects R."""
+        R = [float(r) for r in R]
+        try:
+            return all(margin < self._eval(p, R) < math.inf for p in self._corner_polys)
+        except OverflowError:
+            return False
 
 
 def _find_start(zsys: ZSystem, rng: SplitMix64, config: SolverConfig) -> np.ndarray:
@@ -513,14 +518,12 @@ def _find_start(zsys: ZSystem, rng: SplitMix64, config: SolverConfig) -> np.ndar
 def _newton_from(zsys: ZSystem, x0: np.ndarray, log_target: np.ndarray,
                  config: SolverConfig):
     """Damped Newton on F(x) = log z(e^x) - log target.  Steps are halved
-    until the iterate stays inside the domain.  Returns (x, iterations,
-    converged)."""
+    until the iterate stays inside the domain, so every z_j it reads
+    exceeds the margin.  Returns (x, iterations, converged)."""
     x = x0.copy()
     for it in range(1, config.max_iterations + 1):
         R = np.exp(x)
         z = zsys.z_values(R)
-        if np.any(z <= 0):
-            return x, it, False
         f = np.log(z) - log_target
         if float(np.max(np.abs(f))) <= config.newton_tolerance:
             return x, it, True
@@ -530,8 +533,7 @@ def _newton_from(zsys: ZSystem, x0: np.ndarray, log_target: np.ndarray,
         except np.linalg.LinAlgError:
             return x, it, False
         lam = 1.0
-        # an overflowing coordinate is outside the domain, and the float
-        # minor test already rejects it
+        # an overflowing coordinate is outside the domain: membership rejects it
         with np.errstate(over="ignore"):
             while lam >= 2.0 ** -60:
                 cand = x + lam * step

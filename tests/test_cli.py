@@ -310,6 +310,15 @@ class TestVerify:
         code, _ = run(capsys, "verify", "--config", path)
         assert code == 2
 
+    @pytest.mark.parametrize("margin", [-1e-14, float("nan")])
+    def test_negative_membership_margin_rejected(self, margin):
+        # the solver takes log z at every accepted iterate, so the domain
+        # test must not admit z_j <= 0; no campaign config key sets the
+        # margin, so SolverConfig is checked directly
+        with pytest.raises(ValueError, match="membership_margin must be >= 0"):
+            SolverConfig(membership_margin=margin)
+        assert SolverConfig(membership_margin=0.0).membership_margin == 0.0
+
     def test_defaults_are_the_solver_defaults(self):
         config = CampaignConfig(n=3, trials=1, seed=0)
         assert config.solver_config() == SolverConfig()

@@ -1,6 +1,8 @@
 import math
+import warnings
 from fractions import Fraction as F
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -8,7 +10,7 @@ from hypothesis import strategies as st
 from tpflag import (NoConvergence, NotInTorusSet, RationalMatrix, SolverConfig,
                     ThetaInstance, TorusPoint, ZSystem, evaluate_params,
                     exterior_power, is_totally_positive_unitriangular,
-                    sample_positive, sample_torus_in_domain,
+                    relevant_minor_pairs, sample_positive, sample_torus_in_domain,
                     sl3_root_pair, theta_forward, theta_inverse_numeric,
                     theta_inverse_sl2, theta_inverse_sl3, torus_conjugate,
                     torus_set_membership, z_function)
@@ -16,7 +18,8 @@ from tpflag.prng import SplitMix64, derive_seed
 from tpflag.theta import _conjugated_product, _domain_point
 from tpflag.weyl import longest_element
 
-from oracles import brute_force_unitriangular, fd_jacobian_error
+from oracles import (brute_force_unitriangular, fd_jacobian_error,
+                     permutation_sum_minor)
 
 positive_fractions = st.fractions(min_value=F(1, 5), max_value=5, max_denominator=8)
 
@@ -439,12 +442,22 @@ class TestNumericInverse:
         assert r1 == r2
 
 
+def corner_terms(zsys, R):
+    """(value, sum of |terms|) per lower corner pair of the ZSystem table
+    at float R, in relevant_minor_pairs order."""
+    for poly in zsys._corner_polys:
+        terms = [c * math.prod(x ** p for x, p in zip(R, e)) for c, e in poly]
+        yield ZSystem._eval(poly, R), sum(abs(t) for t in terms)
+
+
 class TestZSystem:
     @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
     def test_matches_minors_of_the_conjugated_product(self, n):
-        # the Cauchy-Binet tables against a matrix product and a Bareiss
-        # minor, on totally positive pairs and on zero-heavy unit-lower
-        # pairs with entries of either sign
+        # every corner polynomial of the Cauchy-Binet table against a
+        # permutation-sum minor of the exact conjugated product, on totally
+        # positive pairs and on zero-heavy unit-lower pairs with entries of
+        # either sign; the z_j are the corners whose last row is n
+        pairs = relevant_minor_pairs(n, "lower")
         for k in range(8):
             seed = derive_seed(n, k)
             sample = zero_heavy_lower if k % 2 else lower_cell_point
@@ -455,12 +468,66 @@ class TestZSystem:
             R = tuple(rng.fraction(4) for _ in range(n - 1))
             Rf = [float(r) for r in R]
             m = torus_conjugate(TorusPoint(R), u) @ uprime.inverse()
-            got = zsys.z_values(Rf)
-            for j in range(1, n):
-                terms = sum(abs(c) * math.prod(x ** p for x, p in zip(Rf, e))
-                            for c, e in zsys._z_polys[j - 1])
-                assert abs(got[j - 1] - float(z_function(m, j))) <= 1e-12 * terms
+            assert len(zsys._corner_polys) == len(pairs) == n * (n - 1) // 2
+            for (rows, cols), (got, terms) in zip(pairs, corner_terms(zsys, Rf)):
+                exact = permutation_sum_minor(m, rows, cols)
+                assert exact == m.minor(rows, cols)
+                assert abs(got - float(exact)) <= 1e-12 * terms
+            assert list(zsys.z_values(Rf)) == [
+                ZSystem._eval(poly, Rf) for (rows, _), poly
+                in zip(pairs, zsys._corner_polys) if rows[-1] == n]
             assert fd_jacobian_error(zsys, Rf) <= 1e-6
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+    def test_verdict_matches_exact_membership_off_the_boundary(self, n):
+        # wherever every corner minor is farther from 0 than 1e-8 of its
+        # sum of |terms|, the float table and the exact test must agree
+        verdicts = []
+        for u, uprime, coords in kernel_cases(n, count=16):
+            zsys = ZSystem(u, uprime)
+            Rf = [float(c) for c in coords]
+            if all(abs(value) > 1e-8 * terms
+                   for value, terms in corner_terms(zsys, Rf)):
+                exact = torus_set_membership(u, uprime, TorusPoint(coords)).member
+                assert zsys.membership(Rf, 0.0) == exact
+                verdicts.append(exact)
+        assert set(verdicts) == {True, False}
+
+    def test_membership_implies_z_above_the_margin(self):
+        # item 1 of verify_conjecture(5, ., 1): at this Newton iterate the
+        # table's z_2 is -4.5e-13 and the exact test puts the float point
+        # outside, while the float minor test of t u t^-1 u'^-1 read every
+        # corner minor as positive
+        base = derive_seed(1, 1)
+        u = lower_cell_point(5, derive_seed(base, 1))
+        uprime = lower_cell_point(5, derive_seed(base, 2))
+        zsys = ZSystem(u, uprime)
+        x = np.array([float.fromhex(h) for h in (
+            "0x1.f52509d6291c1p-1", "0x1.6941de2a4d6c3p-1",
+            "0x1.e803261a6c25cp+0", "-0x1.cd8fdfe6117dbp+0")])
+        boundary = np.exp(x)
+        assert not torus_set_membership(
+            u, uprime, TorusPoint(tuple(F(r) for r in boundary))).member
+        rng = SplitMix64(5)
+        points = [boundary] + [np.exp(x + [rng.uniform(-1e-6, 1e-6) for _ in x])
+                               for _ in range(50)]
+        points += [np.exp([rng.uniform(-3, 3) for _ in x]) for _ in range(50)]
+        for R in points:
+            for margin in (0.0, 1e-14, 1e-3):
+                if zsys.membership(R, margin):
+                    assert all(zsys.z_values(R) > margin)
+        assert not zsys.membership(boundary, 1e-14)
+
+    @pytest.mark.parametrize("R", [
+        (math.inf, 1.0, 1.0), (1.0, math.inf, 2.0), (math.inf,) * 3,
+        (0.0, 1.0, 1.0), (2.0, 2.0, 0.0), (1e-320, 1.0, 1.0),
+        (1e-320, 1e308, 1.0), (1e308, 1e308, 1.0), (1e308, math.inf, 0.0)])
+    def test_non_finite_points_are_silent_non_members(self, R):
+        zsys = ZSystem(lower_cell_point(4, 1), lower_cell_point(4, 2))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for point in (R, np.array(R)):
+                assert zsys.membership(point, 1e-14) is False
 
 
 class TestCampaign:
