@@ -42,6 +42,12 @@ EXIT_INPUT = 2
 EXIT_DOMAIN = 3
 EXIT_NO_CONVERGENCE = 4
 
+# The solver settings of `theta solve` and of a campaign config: (flag, field).
+_SOLVER_FLAGS = (("--starts", "starts"), ("--max-iterations", "max_iterations"),
+                ("--newton-tol", "newton_tolerance"),
+                ("--residual-tol", "residual_tolerance"),
+                ("--cluster-threshold", "cluster_threshold"))
+
 
 @dataclasses.dataclass(frozen=True)
 class CampaignConfig:
@@ -73,11 +79,7 @@ class CampaignConfig:
         return cls(**data)
 
     def solver_config(self) -> SolverConfig:
-        return SolverConfig(starts=self.starts,
-                            max_iterations=self.max_iterations,
-                            newton_tolerance=self.newton_tolerance,
-                            residual_tolerance=self.residual_tolerance,
-                            cluster_threshold=self.cluster_threshold)
+        return SolverConfig(**{field: getattr(self, field) for _, field in _SOLVER_FLAGS})
 
 
 def _atomic_write(path: str, text: str):
@@ -178,10 +180,7 @@ def cmd_theta(args) -> int:
         _emit(payload, args.output)
         return EXIT_OK
 
-    config = SolverConfig(starts=args.starts, max_iterations=args.max_iterations,
-                          newton_tolerance=args.newton_tol,
-                          residual_tolerance=args.residual_tol,
-                          cluster_threshold=args.cluster_threshold,
+    config = SolverConfig(**{field: getattr(args, field) for _, field in _SOLVER_FLAGS},
                           seed=args.seed)
     report = theta_inverse_numeric(instance.u, instance.uprime, instance.z, config)
     _emit({"method": "numeric", **report.to_json_dict()}, args.output)
@@ -307,12 +306,10 @@ def build_parser() -> argparse.ArgumentParser:
                          help="instance JSON file with u, uprime and t or z")
     p_theta.add_argument("--method", default="auto",
                          choices=("auto", "closed", "numeric"))
-    for flag, field in (("--starts", "starts"), ("--max-iterations", "max_iterations"),
-                        ("--newton-tol", "newton_tolerance"),
-                        ("--residual-tol", "residual_tolerance"),
-                        ("--cluster-threshold", "cluster_threshold"), ("--seed", "seed")):
+    for flag, field in _SOLVER_FLAGS + (("--seed", "seed"),):
         default = getattr(SolverConfig, field)
-        p_theta.add_argument(flag, type=type(default), default=default)
+        p_theta.add_argument(flag, dest=field, type=type(default), default=default,
+                             metavar=flag[2:].upper().replace("-", "_"))
     p_theta.set_defaults(func=cmd_theta)
 
     p_verify = sub.add_parser("verify",

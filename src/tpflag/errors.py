@@ -7,7 +7,12 @@ out-of-range indices, wrong shapes).
 
 
 class TotalPositivityError(Exception):
-    """Base class for domain-level failures."""
+    """Base class for domain-level failures.  A failed membership test
+    passes its verdict along, so callers can show the witness."""
+
+    def __init__(self, message, verdict=None):
+        super().__init__(message)
+        self.verdict = verdict
 
 
 class DecompositionUnavailable(TotalPositivityError):
@@ -26,18 +31,10 @@ class NotPositive(TotalPositivityError):
     """A required total-positivity membership test returned a negative
     verdict.  Carries the verdict so callers can show the witness."""
 
-    def __init__(self, message, verdict=None):
-        super().__init__(message)
-        self.verdict = verdict
-
 
 class NotInTorusSet(TotalPositivityError):
     """The torus point is outside the domain where the conjugated
     product stays totally positive."""
-
-    def __init__(self, message, verdict=None):
-        super().__init__(message)
-        self.verdict = verdict
 
 
 class NoConvergence(TotalPositivityError):

@@ -13,6 +13,7 @@ runner collects numerical evidence and treats failures as data.
 
 from __future__ import annotations
 
+import functools
 import importlib.util
 import math
 import sys
@@ -431,7 +432,7 @@ class ZSystem:
     since conjugating by t scales the minor D_{I,S}(u) by t_I / t_S.  The
     z_j are the pairs whose last row is n, and R lies in the domain iff
     every D_I(R) is positive.  Coefficients are summed exactly, then
-    frozen as floats for evaluation."""
+    frozen as floats; the domain test returns the z values it read."""
 
     def __init__(self, u: RationalMatrix, uprime: RationalMatrix):
         n = u.n
@@ -442,8 +443,7 @@ class ZSystem:
         self.n = n
         self.dim = n - 1
         binv = uprime.inverse()
-        self._corner_polys = []
-        self._z_polys = []
+        self._corner_polys = []  # (frozen polynomial, is a z_j)
         self._dz_polys = []
         for rows, cols in relevant_minor_pairs(n, "lower"):
             poly = {}
@@ -454,9 +454,8 @@ class ZSystem:
                     e = tuple(sum(i > m for i in rows) - sum(x > m for x in s)
                               for m in range(1, n))
                     poly[e] = poly.get(e, 0) + c
-            self._corner_polys.append(self._freeze(poly))
+            self._corner_polys.append((self._freeze(poly), rows[-1] == n))
             if rows[-1] == n:
-                self._z_polys.append(self._corner_polys[-1])
                 self._dz_polys.append(tuple(self._freeze(self._diff(poly, i))
                                             for i in range(self.dim)))
 
@@ -485,65 +484,76 @@ class ZSystem:
         return total
 
     def z_values(self, R) -> np.ndarray:
-        return np.array([self._eval(p, R) for p in self._z_polys])
+        return np.array([self._eval(p, R) for p, is_z in self._corner_polys if is_z])
 
     def jacobian(self, R) -> np.ndarray:
         """d z_j / d R_i."""
         return np.array([[self._eval(self._dz_polys[j][i], R)
                           for i in range(self.dim)] for j in range(self.dim)])
 
-    def membership(self, R, margin: float) -> bool:
-        """Does every corner value lie in (margin, inf)?  Python floats carry
+    def membership(self, R, margin: float) -> Optional[tuple]:
+        """z(R) as a tuple, bit for bit :meth:`z_values`, when every corner
+        value lies in (margin, inf); None otherwise.  Python floats carry
         inf and NaN silently; a power past the float range rejects R."""
         R = [float(r) for r in R]
+        z = []
         try:
-            return all(margin < self._eval(p, R) < math.inf for p in self._corner_polys)
+            for poly, is_z in self._corner_polys:
+                value = self._eval(poly, R)
+                if not margin < value < math.inf:
+                    return None
+                if is_z:
+                    z.append(value)
         except OverflowError:
-            return False
+            return None
+        return tuple(z)
 
 
-def _find_start(zsys: ZSystem, rng: SplitMix64, config: SolverConfig) -> np.ndarray:
-    """Feasible start in log-coordinates: log-uniform in a box around 1,
-    shifted upward on repeated failures (large coordinates always land
-    inside the domain)."""
+# The table of the last (u, u'): an instance's main and round-trip solves share it.
+_zsystem = functools.lru_cache(maxsize=1)(ZSystem)
+
+
+def _find_start(zsys: ZSystem, rng: SplitMix64, config: SolverConfig) -> tuple:
+    """Feasible start (x, z(e^x)) in log-coordinates: log-uniform in a box
+    around 1, shifted upward on repeated failures (large coordinates
+    always land inside the domain)."""
     for attempt in range(400):
         shift = min(attempt // 20, 30)
         x = np.array([rng.uniform(-config.start_box, config.start_box) + shift
                       for _ in range(zsys.dim)])
-        if zsys.membership(np.exp(x), config.membership_margin):
-            return x
+        if z := zsys.membership(np.exp(x), config.membership_margin):
+            return x, z
     raise NoConvergence("could not find a feasible start point")
 
 
-def _newton_from(zsys: ZSystem, x0: np.ndarray, log_target: np.ndarray,
+def _newton_from(zsys: ZSystem, x: np.ndarray, z: tuple, log_target: np.ndarray,
                  config: SolverConfig):
-    """Damped Newton on F(x) = log z(e^x) - log target.  Steps are halved
-    until the iterate stays inside the domain, so every z_j it reads
-    exceeds the margin.  Returns (x, iterations, converged)."""
-    x = x0.copy()
+    """Damped Newton on F(x) = log z(e^x) - log target from a start (x, z).
+    Steps are halved until the domain test accepts the iterate, and the z
+    it returns is the z the next step reads, so every z_j the solver sees
+    exceeds the margin.  Returns (x, z, iterations, converged)."""
     for it in range(1, config.max_iterations + 1):
         R = np.exp(x)
-        z = zsys.z_values(R)
         f = np.log(z) - log_target
         if float(np.max(np.abs(f))) <= config.newton_tolerance:
-            return x, it, True
-        jac = zsys.jacobian(R) * R[np.newaxis, :] / z[:, np.newaxis]
+            return x, z, it, True
+        jac = zsys.jacobian(R) * R[np.newaxis, :] / np.array(z)[:, np.newaxis]
         try:
             step = np.linalg.solve(jac, -f)
         except np.linalg.LinAlgError:
-            return x, it, False
+            return x, z, it, False
         lam = 1.0
         # an overflowing coordinate is outside the domain: membership rejects it
         with np.errstate(over="ignore"):
             while lam >= 2.0 ** -60:
                 cand = x + lam * step
-                if zsys.membership(np.exp(cand), config.membership_margin):
+                if z_cand := zsys.membership(np.exp(cand), config.membership_margin):
                     break
                 lam *= 0.5
             else:
-                return x, it, False
-        x = cand
-    return x, config.max_iterations, False
+                return x, z, it, False
+        x, z = cand, z_cand
+    return x, z, config.max_iterations, False
 
 
 def _cluster(limits, threshold: float):
@@ -570,33 +580,30 @@ def theta_inverse_numeric(u: RationalMatrix, uprime: RationalMatrix, z,
     z = _target_vector(z, u.n)
     if any(v <= 0 for v in z):
         raise ValueError("targets must be strictly positive")
-    zsys = ZSystem(u, uprime)
+    zsys = _zsystem(u, uprime)
     target = np.array([float(v) for v in z])
     log_target = np.log(target)
     rng = SplitMix64(config.seed)
 
-    limits = []
+    limits = []  # (x, residual) per converged start
     iterations = []
     converged = []
     for _ in range(config.starts):
-        x0 = _find_start(zsys, rng, config)
-        x, iters, ok = _newton_from(zsys, x0, log_target, config)
+        x, z_x = _find_start(zsys, rng, config)
+        x, z_x, iters, ok = _newton_from(zsys, x, z_x, log_target, config)
         iterations.append(iters)
         converged.append(ok)
         if ok:
-            limits.append(x)
+            limits.append((x, float(np.max(np.abs(np.array(z_x) - target)))))
 
     if not limits:
         raise NoConvergence(
             f"none of {config.starts} starts met the Newton tolerance")
 
-    def residual_of(x):
-        return float(np.max(np.abs(zsys.z_values(np.exp(x)) - target)))
-
-    best = min(limits, key=residual_of)
-    clusters = _cluster(limits, config.cluster_threshold)
+    best, residual = min(limits, key=lambda limit: limit[1])
+    clusters = _cluster([x for x, _ in limits], config.cluster_threshold)
     return SolveReport(solution=TorusPoint(tuple(float(v) for v in np.exp(best))),
-                       residual=residual_of(best),
+                       residual=residual,
                        starts_tried=config.starts,
                        distinct_limits=len(clusters),
                        iterations=tuple(iterations),
@@ -728,7 +735,6 @@ def verify_conjecture(n: int, trials: int, seed: int,
         distinct = 0
         iterations_max = 0
         converged = False
-        report = None
         try:
             report = theta_inverse_numeric(u, uprime, z_target,
                                            replace(config, seed=derive_seed(base, 4)))
