@@ -7,9 +7,9 @@ and sample (deterministic test-data generation).
 
 Exit codes are part of the interface so shell harnesses can assert
 outcomes: 0 ok, 1 negative verdict, 2 input error, 3 domain error (a
-float torus point whose coordinate products overflow or underflow is
-outside the torus domain; other float arithmetic failures exit 3 too),
-4 convergence failure.  Every command is deterministic given its full
+float arithmetic failure, such as a float target beyond the float range,
+exits 3 too), 4 convergence failure.  A float torus coordinate is the
+rational it denotes, so its domain verdict is exact.  Every command is deterministic given its full
 flag set including --seed; no environment variables are consulted.
 """
 

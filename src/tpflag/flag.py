@@ -19,6 +19,7 @@ rational paths are used wherever the data allows it.
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Optional
@@ -26,10 +27,11 @@ from typing import Iterable, Optional
 from .errors import (EigenvalueCollision, FlagComputationError,
                      MembershipViolation, NotInCell, NotInFibre, NotInTorusSet,
                      NotPositive)
-from .exactmat import RationalMatrix, colex_subsets, exterior_power, gauss_decompose
-from .theta import (SolverConfig, TorusPoint, theta_forward, theta_inverse_numeric,
-                    theta_inverse_sl2, theta_inverse_sl3, _float_membership, np)
-from .totpos import (LusztigParams, evaluate_params, extract_params,
+from .exactmat import (RationalMatrix, colex_subsets, exterior_power, float_det,
+                       gauss_decompose)
+from .theta import (SolverConfig, TorusPoint, format_scalar, theta_forward,
+                    theta_inverse_numeric, theta_inverse_sl2, theta_inverse_sl3, np)
+from .totpos import (LusztigParams, MinorWitness, evaluate_params, extract_params,
                      is_g_positive, is_totally_positive_unitriangular,
                      relevant_minor_pairs, _evaluate_rows)
 from .weyl import longest_element, reduced_word
@@ -153,8 +155,7 @@ class CellCoordinates:
 
     def to_json_dict(self) -> dict:
         return {"v": self.v.to_json_dict(),
-                "zvec": [str(z) if isinstance(z, Fraction) else float(z)
-                         for z in self.zvec]}
+                "zvec": [format_scalar(z) for z in self.zvec]}
 
 
 # ---------------------------------------------------------------------------
@@ -223,6 +224,18 @@ def _ldu_unit_lower(m: np.ndarray, tol: FloatTolerances) -> np.ndarray:
             lower[r, col] = f
             a[r, col:] -= f * a[col, col:]
     return lower
+
+
+def _float_membership(m, pairs, margin) -> tuple:
+    """(ok, witness) for the float minor test on a unit lower matrix over
+    ``pairs`` (the lower :func:`relevant_minor_pairs`).  Every minor must
+    exceed ``margin`` and be finite."""
+    for rows, cols in pairs:
+        sub = [[m[r - 1][c - 1] for c in cols] for r in rows]
+        value = float_det(sub)
+        if not margin < value < math.inf:
+            return False, MinorWitness(rows, cols, value, "must be > 0 (float)")
+    return True, None
 
 
 def _zeta_impl(g: RationalMatrix, tol: FloatTolerances):

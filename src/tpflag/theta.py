@@ -23,10 +23,9 @@ from itertools import combinations
 from typing import Optional
 
 from .errors import NoConvergence, NotInTorusSet
-from .exactmat import (RationalMatrix, _submatrix_det, float_det,
-                       perfect_nth_root)
+from .exactmat import RationalMatrix, _submatrix_det, perfect_nth_root
 from .prng import SplitMix64, derive_seed
-from .totpos import (MinorWitness, PositivityVerdict, evaluate_params,
+from .totpos import (PositivityVerdict, evaluate_params,
                      is_totally_positive_unitriangular,
                      relevant_minor_pairs, sample_positive)
 from .weyl import longest_element
@@ -51,8 +50,8 @@ np = _lazy_numpy()
 class TorusPoint:
     """Positive diagonal torus element in simple-root coordinates:
     coords[i-1] = t_{i+1} / t_i for the determinant-1 diagonal t.
-    Coordinates are exact rationals or floats; the matrix form exists
-    exactly only when the implied n-th root is rational."""
+    Coordinates are exact rationals or finite floats; the matrix form
+    exists exactly only when the implied n-th root is rational."""
 
     coords: tuple
 
@@ -60,8 +59,9 @@ class TorusPoint:
         coords = tuple(self.coords)
         if not coords:
             raise ValueError("torus point needs at least one coordinate")
-        if any(c <= 0 for c in coords):
-            raise ValueError(f"all coordinates must be positive: {coords}")
+        # not math.isfinite: that overflows on a huge Fraction
+        if not all(0 < c < math.inf for c in coords):
+            raise ValueError(f"all coordinates must be positive and finite: {coords}")
         object.__setattr__(self, "coords", coords)
 
     @property
@@ -187,30 +187,28 @@ def z_function(u, j: int):
     return u.minor(tuple(range(n - j + 1, n + 1)), tuple(range(1, j + 1)))
 
 
-def _conjugate_rows(u, coords, num) -> list:
-    """Rows of t u t^-1 for unit lower u in ``num`` arithmetic
-    (``Fraction`` or ``float``): entry (i, k) with i > k scales by
-    prefix[i] / prefix[k], the product of coords k..i-1, or NaN where a
-    float prefix underflowed to zero (the float minor test rejects it)."""
+def _conjugate_rows(u, coords) -> list:
+    """Exact rows of t u t^-1 for unit lower u and rational coords: entry
+    (i, k) with i > k scales by prefix[i] / prefix[k], the product of
+    coords k..i-1."""
     n = len(u)
-    one = num(1)
+    one = Fraction(1)
     prefix = [one]
     for c in coords:
-        prefix.append(prefix[-1] * num(c))
-    rows = [[num(0)] * n for _ in range(n)]
+        prefix.append(prefix[-1] * c)
+    rows = [[Fraction(0)] * n for _ in range(n)]
     for i in range(n):
         rows[i][i] = one
         for k in range(i):
-            scale = prefix[i] / prefix[k] if prefix[k] else math.nan
-            rows[i][k] = num(u[i][k]) * scale
+            rows[i][k] = u[i][k] * (prefix[i] / prefix[k])
     return rows
 
 
-def _conjugated_product(u, binv, coords, num) -> list:
-    """Rows of t u t^-1 u'^-1 from u and binv = u'^-1 (already in ``num``).
-    Both are unit lower, so only l = k..i contribute, and entry (i, k)
-    reads columns k..i of its row of t u t^-1: rows update in place."""
-    rows = _conjugate_rows(u, coords, num)
+def _conjugated_product(u, binv, coords) -> list:
+    """Exact rows of t u t^-1 u'^-1 from u and binv = u'^-1.  Both are
+    unit lower, so only l = k..i contribute, and entry (i, k) reads
+    columns k..i of its row of t u t^-1: rows update in place."""
+    rows = _conjugate_rows(u, coords)
     for i, row in enumerate(rows):
         for k in range(i):
             row[k] = sum(row[l] * binv[l][k] for l in range(k, i + 1))
@@ -230,61 +228,41 @@ def torus_conjugate(t: TorusPoint, u: RationalMatrix) -> RationalMatrix:
     if not t.is_exact:
         raise ValueError("exact conjugation needs rational coordinates")
     _check_conjugation(t, u)
-    return RationalMatrix(_conjugate_rows(u.rows, t.coords, Fraction))
+    return RationalMatrix(_conjugate_rows(u.rows, t.coords))
 
 
-def _float_membership(m, pairs, margin) -> tuple:
-    """(ok, witness) for the float minor test on a unit lower matrix over
-    ``pairs`` (the lower :func:`relevant_minor_pairs`).  Every minor must
-    exceed ``margin`` and be finite."""
-    for rows, cols in pairs:
-        sub = [[m[r - 1][c - 1] for c in cols] for r in rows]
-        value = float_det(sub)
-        if not margin < value < math.inf:
-            return False, MinorWitness(rows, cols, value, "must be > 0 (float)")
-    return True, None
-
-
-def _domain_point(u: RationalMatrix, binv: RationalMatrix, t: TorusPoint,
-                  margin: float) -> tuple:
-    """(t u t^-1 u'^-1, its lower positivity verdict) from binv = u'^-1:
-    exact rows and the exact test for rational coordinates, float rows
-    and the float minor test with the given margin otherwise."""
+def _domain_point(u: RationalMatrix, binv: RationalMatrix, t: TorusPoint) -> tuple:
+    """(t u t^-1 u'^-1, its exact lower positivity verdict) from
+    binv = u'^-1.  A float coordinate is the rational it denotes."""
     # the kernel reads only the lower triangles of same-size inputs
     _check_conjugation(t, u)
     if binv.n != u.n:
         raise ValueError("dimension mismatch")
     if not binv.is_unit_triangular("lower"):
         raise ValueError("input is not unit lower triangular")
-    if t.is_exact:
-        m = RationalMatrix(_conjugated_product(u.rows, binv.rows, t.coords, Fraction))
-        return m, is_totally_positive_unitriangular(m, "lower")
-    m = _conjugated_product(u.rows, binv.to_float(), t.coords, float)
-    ok, witness = _float_membership(m, relevant_minor_pairs(u.n, "lower"), margin)
-    return m, PositivityVerdict(ok, witness)
+    coords = t.coords if t.is_exact else tuple(Fraction(c) for c in t.coords)
+    m = RationalMatrix(_conjugated_product(u.rows, binv.rows, coords))
+    return m, is_totally_positive_unitriangular(m, "lower")
 
 
 def torus_set_membership(u: RationalMatrix, uprime: RationalMatrix,
-                         t: TorusPoint, margin: float = 0.0) -> PositivityVerdict:
+                         t: TorusPoint) -> PositivityVerdict:
     """Does t stay in the open torus region attached to (u, u')?  True
-    iff t u t^-1 u'^-1 is totally positive.  Exact for rational
-    coordinates; float coordinates use the float minor test with the
-    given margin."""
-    return _domain_point(u, uprime.inverse(), t, margin)[1]
+    iff t u t^-1 u'^-1 is totally positive, decided exactly."""
+    return _domain_point(u, uprime.inverse(), t)[1]
 
 
 def theta_forward(u: RationalMatrix, uprime: RationalMatrix, t: TorusPoint) -> tuple:
     """The vector of corner minors of t u t^-1 u'^-1, one per wedge
     index; requires t inside the torus region (else NotInTorusSet).
-    Exact when the coordinates are rational, float otherwise."""
-    n = u.n
-    m, verdict = _domain_point(u, uprime.inverse(), t, 0.0)
+    Exact; for float coordinates each z_j is rounded once to a float
+    (OverflowError past the float range)."""
+    m, verdict = _domain_point(u, uprime.inverse(), t)
     if not verdict.member:
         raise NotInTorusSet(f"torus point outside the domain: "
                             f"{verdict.witness.describe()}", verdict)
-    if t.is_exact:
-        return tuple(z_function(m, j) for j in range(1, n))
-    return tuple(float_det([row[:j] for row in m[n - j:]]) for j in range(1, n))
+    z = tuple(z_function(m, j) for j in range(1, u.n))
+    return z if t.is_exact else tuple(float(v) for v in z)
 
 
 # ---------------------------------------------------------------------------
@@ -299,6 +277,14 @@ def _target_vector(z, n: int) -> tuple:
     return z
 
 
+def _closed_form_point(coords) -> TorusPoint:
+    """TorusPoint of a closed-form solution; a non-finite float there is
+    an arithmetic failure (exit 3), not an input error."""
+    if not all(math.isfinite(c) for c in coords if isinstance(c, float)):
+        raise OverflowError(f"closed-form solution is not a finite float: {coords}")
+    return TorusPoint(coords)
+
+
 def theta_inverse_sl2(u: RationalMatrix, uprime: RationalMatrix, z) -> TorusPoint:
     """n = 2: the single target A = R a - a' inverts to R = (A + a')/a,
     exactly when the inputs are exact."""
@@ -309,7 +295,7 @@ def theta_inverse_sl2(u: RationalMatrix, uprime: RationalMatrix, z) -> TorusPoin
     (A,) = _target_vector(z, 2)
     if A <= 0:
         raise ValueError("target must be positive")
-    return TorusPoint(((A + aprime) / a,))
+    return _closed_form_point(((A + aprime) / a,))
 
 
 def sl3_root_pair(u: RationalMatrix, uprime: RationalMatrix, z):
@@ -350,7 +336,7 @@ def sl3_root_pair(u: RationalMatrix, uprime: RationalMatrix, z):
     scale = (a * b - c) * ap * b / (a * bp * c)
     r_plus = -scale * s_minus
     r_minus = -scale * s_plus
-    accepted = TorusPoint((r_plus + ap / a, s_plus + bp / b))
+    accepted = _closed_form_point((r_plus + ap / a, s_plus + bp / b))
     rejected = (r_minus + ap / a, s_minus + bp / b)
     return accepted, rejected
 
@@ -620,7 +606,7 @@ def sample_torus_in_domain(u: RationalMatrix, uprime: RationalMatrix,
     for attempt in range(64):
         growth = Fraction(2) ** min(attempt, 30)
         t = TorusPoint(tuple(growth * rng.fraction(scale) for _ in range(u.n - 1)))
-        if _domain_point(u, binv, t, 0.0)[1].member:
+        if _domain_point(u, binv, t)[1].member:
             return t
     raise NoConvergence("could not sample a torus point in the domain")
 

@@ -122,15 +122,28 @@ class TestTheta:
         code, _ = run(capsys, "theta", "forward", "--instance", path)
         assert code == 3
 
-    def test_forward_non_finite_minors_exits_three(self, tmp_path, capsys):
-        # the conjugated product overflows to NaN; the float gate must
-        # reject it instead of printing NaN targets
+    def test_forward_z_past_the_float_range_exits_three(self, tmp_path, capsys):
+        # 1e200 t* is in the domain, but its exact z_1 exceeds every float
         instance, _ = sample_instance(tmp_path, capsys, n=4, seed=3)
-        instance["t"] = [1e200] * 3
+        instance["t"] = [1e200 * float(F(c)) for c in instance["t"]]
         path = write_json(tmp_path / "huge_t.json", instance)
-        code, out = run(capsys, "theta", "forward", "--instance", path)
+        code = main(["theta", "forward", "--instance", path])
+        captured = capsys.readouterr()
         assert code == 3
-        assert "NaN" not in out
+        assert captured.out == ""
+        assert captured.err.startswith("error: OverflowError: ")
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_forward_non_finite_t_exits_two(self, tmp_path, capsys, value):
+        instance, _ = sample_instance(tmp_path, capsys, n=3, seed=5)
+        instance["t"] = [value, 2.0]
+        path = write_json(tmp_path / "non_finite_t.json", instance)
+        code = main(["theta", "forward", "--instance", path])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err.startswith(
+            "input error: all coordinates must be positive and finite: ")
 
     @pytest.mark.parametrize("exact", [True, False])
     @pytest.mark.parametrize("case,message", [
@@ -185,6 +198,18 @@ class TestTheta:
         assert captured.out == ""
         assert captured.err.startswith(
             "error: torus point outside the domain: minor rows {2} cols {1} = ")
+
+    @pytest.mark.parametrize("n,z", [(2, float("inf")), (3, 1e308)])
+    def test_solve_closed_past_the_float_range_exits_three(self, tmp_path, capsys, n, z):
+        # the float closed form overflows: an arithmetic failure, not an input error
+        instance, _ = sample_instance(tmp_path, capsys, n=n, seed=1)
+        instance["z"] = [z] * (n - 1)
+        path = write_json(tmp_path / "huge_z.json", instance)
+        code = main(["theta", "solve", "--instance", path, "--method", "closed"])
+        captured = capsys.readouterr()
+        assert code == 3
+        assert captured.err.startswith(
+            "error: OverflowError: closed-form solution is not a finite float: ")
 
     @pytest.mark.parametrize("n", [2, 3])
     @pytest.mark.parametrize("length", ["short", "long"])

@@ -15,7 +15,7 @@ from tpflag import (NoConvergence, NotInTorusSet, RationalMatrix, SolverConfig,
                     theta_inverse_sl2, theta_inverse_sl3, torus_conjugate,
                     torus_set_membership, verify_conjecture, z_function)
 from tpflag.prng import SplitMix64, derive_seed
-from tpflag.theta import _conjugated_product, _domain_point, _zsystem
+from tpflag.theta import _domain_point, _zsystem
 from tpflag.weyl import longest_element
 
 from oracles import (brute_force_unitriangular, fd_jacobian_error,
@@ -155,28 +155,12 @@ class TestConjugatedProduct:
         for u, uprime, coords in kernel_cases(n):
             t = TorusPoint(coords)
             expected = torus_conjugate(t, u) @ uprime.inverse()
-            m, verdict = _domain_point(u, uprime.inverse(), t, 0.0)
+            m, verdict = _domain_point(u, uprime.inverse(), t)
             assert m == expected
             assert verdict.member == brute_force_unitriangular(expected, "lower")
             assert torus_set_membership(u, uprime, t).member == verdict.member
             verdicts.add(verdict.member)
         assert verdicts == {True, False}
-
-    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
-    def test_float_matches_exact(self, n):
-        for u, uprime, coords in kernel_cases(n):
-            binv = uprime.inverse()
-            exact = _conjugated_product(u.rows, binv.rows, coords, F)
-            approx = _conjugated_product(u.rows, binv.to_float(),
-                                         tuple(float(c) for c in coords), float)
-            # relative to the sum of |terms| of each entry, which bounds
-            # the rounding error even where the terms cancel
-            terms = _conjugated_product([[abs(x) for x in row] for row in u.rows],
-                                        [[abs(x) for x in row] for row in binv.rows],
-                                        coords, F)
-            for i in range(n):
-                for k in range(n):
-                    assert abs(approx[i][k] - float(exact[i][k])) <= 1e-12 * terms[i][k]
 
 
 def invalid_domain_input(case):
@@ -198,8 +182,8 @@ def invalid_domain_input(case):
 
 
 class TestDomainInputs:
-    # both arithmetics run the same checks before the kernel, which
-    # reads only the lower triangles of same-size inputs
+    # float coordinates are checked before they become exact rationals,
+    # and the kernel reads only the lower triangles of same-size inputs
     @pytest.mark.parametrize("num", [F, float])
     @pytest.mark.parametrize("case,message", [
         ("uprime smaller", "dimension mismatch"),
@@ -219,20 +203,100 @@ class TestDomainInputs:
 
 
 class TestFloatUnderflow:
-    # at n >= 4 the float prefix products of (1e-200,)* underflow to zero;
-    # entry (2, 1) of the conjugated product is about -u'_21 either way
+    # float coordinates are the rationals they denote, so tiny and huge
+    # ones get exact verdicts
     @pytest.mark.parametrize("n", [3, 4, 5])
     def test_underflowed_point_is_outside_the_domain(self, n):
+        # entry (2, 1) of the conjugated product is 1e-200 u_21 - u'_21
         u, uprime = lower_cell_point(n, 1), lower_cell_point(n, 2)
         t = TorusPoint((1e-200,) * (n - 1))
         verdict = torus_set_membership(u, uprime, t)
         assert not verdict.member
         witness = verdict.witness
         assert (witness.rows, witness.cols) == ((2,), (1,))
-        assert witness.value == -float(uprime.rows[1][0])
+        assert witness.value == F(1e-200) * u.rows[1][0] - uprime.rows[1][0]
+        assert witness.note == "must be > 0"
         with pytest.raises(NotInTorusSet) as info:
             theta_forward(u, uprime, t)
         assert str(info.value) == "torus point outside the domain: " + witness.describe()
+
+    @pytest.mark.parametrize("n", [3, 4, 5])
+    def test_huge_point_is_a_member(self, n):
+        u, uprime = lower_cell_point(n, 1), lower_cell_point(n, 2)
+        t_star = sample_torus_in_domain(u, uprime, 3)
+        t = TorusPoint(tuple(1e200 * float(c) for c in t_star.coords))
+        assert torus_set_membership(u, uprime, t).member
+        # z_1 scales by the product of all n - 1 coordinates: past 1e400
+        with pytest.raises(OverflowError):
+            theta_forward(u, uprime, t)
+
+
+def seeded_pair(n, seed):
+    """(u, u') as a campaign instance draws them."""
+    return lower_cell_point(n, derive_seed(seed, 1)), lower_cell_point(n, derive_seed(seed, 2))
+
+
+def boundary_ray_points(n, seed, half=160, step=16):
+    """(u, u', float coords) within ``half`` ulps of the domain boundary:
+    f t* for t* a sampled domain point and f at the boundary of the ray,
+    found by exact bisection, then rounded and moved by k ulps."""
+    u, uprime = seeded_pair(n, seed)
+    t_star = sample_torus_in_domain(u, uprime, derive_seed(seed, 5)).coords
+    lo, hi = F(0), F(1)  # f = 1 is inside, f = 0 is not
+    for _ in range(80):
+        mid = (lo + hi) / 2
+        if torus_set_membership(u, uprime, TorusPoint(tuple(mid * c for c in t_star))).member:
+            hi = mid
+        else:
+            lo = mid
+    base = [float(hi * c) for c in t_star]
+    for k in range(-half, half + 1, step):
+        yield u, uprime, tuple(b + k * math.ulp(b) for b in base)
+
+
+class TestFloatCoordinates:
+    @pytest.mark.parametrize("n", [3, 4, 5, 6])
+    def test_boundary_verdicts_match_the_rational_point(self, n):
+        verdicts = set()
+        for u, uprime, coords in boundary_ray_points(n, 0):
+            exact = TorusPoint(tuple(F(c) for c in coords))
+            expected = brute_force_unitriangular(
+                torus_conjugate(exact, u) @ uprime.inverse(), "lower")
+            assert torus_set_membership(u, uprime, TorusPoint(coords)).member == expected
+            verdicts.add(expected)
+        assert verdicts == {True, False}
+
+    @pytest.mark.parametrize("n,coords,member", [
+        # members the float minor test rejected: its minor
+        # rows {2, 3} cols {1, 2} came out -2.9457e-15 and -2.35e-15
+        (3, ("0x1.47c3b666fb66dp+2", "0x1.47c3b666fb66dp+3"), True),
+        (3, ("0x1.ca62c1d6d2da9p+2", "0x1.57ca11611e23fp+3"), True),
+        # non-members it accepted
+        (4, (7.14081418970119, 2.3802713965670623, 7.14081418970119), False),
+        (5, (12.314290549708886, 8.209527033139166, 12.314290549708886,
+             49.257162198835545), False),
+    ])
+    def test_known_boundary_points(self, n, coords, member):
+        u, uprime = seeded_pair(n, 0)
+        coords = tuple(float.fromhex(c) if isinstance(c, str) else c for c in coords)
+        exact = torus_conjugate(TorusPoint(tuple(F(c) for c in coords)), u) @ uprime.inverse()
+        assert brute_force_unitriangular(exact, "lower") == member
+        verdict = torus_set_membership(u, uprime, TorusPoint(coords))
+        assert verdict.member == member
+        if not member:
+            w = verdict.witness
+            assert w.value == exact.minor(w.rows, w.cols) <= 0
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 7, 8])
+    def test_forward_rounds_the_exact_z_once(self, n):
+        for seed in range(3):
+            u, uprime = seeded_pair(n, seed)
+            t_star = sample_torus_in_domain(u, uprime, derive_seed(seed, 5))
+            t = TorusPoint(tuple(1.1 * float(c) for c in t_star.coords))
+            m = torus_conjugate(TorusPoint(tuple(F(c) for c in t.coords)), u) @ uprime.inverse()
+            z = theta_forward(u, uprime, t)
+            assert all(type(v) is float for v in z)
+            assert z == tuple(float(z_function(m, j)) for j in range(1, n))
 
 
 class TestTorusPoint:
@@ -252,6 +316,16 @@ class TestTorusPoint:
     def test_positivity_enforced(self):
         with pytest.raises(ValueError):
             TorusPoint((F(1), F(-2)))
+
+    @pytest.mark.parametrize("coords", [
+        (math.nan, 1.0), (1.0, math.inf), (math.inf, math.inf), (-math.inf, 1.0)])
+    def test_non_finite_coordinates_are_rejected(self, coords):
+        with pytest.raises(ValueError, match="positive and finite"):
+            TorusPoint(coords)
+
+    def test_huge_rational_coordinate_is_accepted(self):
+        # math.isfinite would overflow on this Fraction
+        assert TorusPoint((F(10) ** 400,)).coords == (F(10) ** 400,)
 
 
 class TestMembership:
