@@ -309,16 +309,50 @@ def colex_subsets(n: int, j: int) -> tuple:
     return tuple(sorted(subs, key=lambda t: t[::-1]))
 
 
+def _minor_levels(rows, top: int) -> tuple:
+    """(dens, levels): every k x k minor of a square matrix of rationals,
+    k = 1..top, in one pass on Python ints.
+
+    Each row is scaled to integers by the lcm of its denominators, and
+    ``dens[R]`` is the product of those scales over a 1-based row set R.
+    ``levels[k-1][R][C]`` is the minor on the row and column k-subsets R
+    and C times ``dens[R]``; both are in colex order.  Level k comes from
+    level k-1 by Laplace expansion along the last row of R (level 0 is
+    the empty minor 1): k products and no division per minor."""
+    scales = [math.lcm(*(x.denominator for x in row)) for row in rows]
+    ints = [[x.numerator * (d // x.denominator) for x in row]
+            for row, d in zip(rows, scales)]
+    dens = {(): 1}
+    levels = []
+    prev = {(): {(): 1}}
+    for k in range(1, top + 1):
+        subs = colex_subsets(len(ints), k)
+        # per C: each column c of C (0-based), C without c, and the sign of
+        # its cofactor along row k
+        expand = [(C, [(C[i] - 1, C[:i] + C[i + 1:], (-1) ** (k - 1 - i))
+                       for i in range(k)]) for C in subs]
+        level = {}
+        for R in subs:
+            last, below = ints[R[-1] - 1], prev[R[:-1]]
+            dens[R] = dens[R[:-1]] * scales[R[-1] - 1]
+            level[R] = {C: sum(s * last[c] * below[D] for c, D, s in terms)
+                        for C, terms in expand}
+        levels.append(level)
+        prev = level
+    return dens, levels
+
+
 def exterior_power(m: RationalMatrix, j: int) -> RationalMatrix:
     """Matrix of the induced action on the j-th wedge power: the
     C(n,j) x C(n,j) matrix of all j x j minors, rows and columns indexed
-    by colexicographic j-subsets.  Multiplicative in m (Cauchy-Binet)."""
+    by colexicographic j-subsets, read off :func:`_minor_levels`.
+    Multiplicative in m (Cauchy-Binet)."""
     n = m.n
     if not 1 <= j <= n - 1:
         raise ValueError(f"wedge index must be in 1..{n - 1}, got {j}")
-    subs = colex_subsets(n, j)
-    return RationalMatrix(tuple(
-        tuple(_submatrix_det(m.rows, r, c) for c in subs) for r in subs))
+    dens, levels = _minor_levels(m.rows, j)
+    return RationalMatrix(tuple(tuple(Fraction(minor, dens[R]) for minor in row.values())
+                                for R, row in levels[-1].items()))
 
 
 # ---------------------------------------------------------------------------

@@ -27,7 +27,7 @@ from typing import Iterable, Optional
 from .errors import (EigenvalueCollision, FlagComputationError,
                      MembershipViolation, NotInCell, NotInFibre, NotInTorusSet,
                      NotPositive)
-from .exactmat import (RationalMatrix, colex_subsets, exterior_power, float_det,
+from .exactmat import (RationalMatrix, _minor_levels, colex_subsets, float_det,
                        gauss_decompose)
 from .theta import (SolverConfig, TorusPoint, format_scalar, theta_forward,
                     theta_inverse_numeric, theta_inverse_sl2, theta_inverse_sl3, np)
@@ -426,16 +426,21 @@ def _classify(g: RationalMatrix, J: tuple, tol: FloatTolerances):
     Borel representative, and per j outside J the distance of the leading
     eigenline of the exact j-th wedge power of g from the leading lines
     of the eigenbasis and of the coset part, and the distance of the
-    Borel representative's leading line from the coset part's.  Only
-    immutable data is returned; the last pass is kept, as callers ask for
-    the three views of one (g, J) back to back."""
+    Borel representative's leading line from the coset part's.  One
+    :func:`_minor_levels` pass gives every wedge power, each entry rounded
+    once from its scaled integer minor.  Only immutable data is returned;
+    the last pass is kept, as callers ask for the three views of one
+    (g, J) back to back."""
     lower, ef = _zeta_impl(g, tol)
     first, _ = split_cell(lower, J, atol=tol.split_atol)
     from_basis, from_split, borel = (_leading_lines(rows, J)
                                      for rows in (ef.basis, first, lower))
+    dens, levels = _minor_levels(g.rows, max(from_basis, default=0))
     per_j = []
     for j in from_basis:
-        wedge = np.array(exterior_power(g, j).to_float())
+        # int / int is correctly rounded: float() of the exact wedge entry
+        wedge = np.array([[minor / dens[R] for minor in row.values()]
+                          for R, row in levels[j - 1].items()])
         values, vectors = np.linalg.eig(wedge)
         perron = _normalize_line(vectors[:, int(np.argmax(values.real))].real)
         per_j.append((j, float(np.max(np.abs(perron - from_basis[j]))),

@@ -19,11 +19,10 @@ import math
 import sys
 from dataclasses import asdict, dataclass, field, replace
 from fractions import Fraction
-from itertools import combinations
 from typing import Optional
 
 from .errors import NoConvergence, NotInTorusSet
-from .exactmat import RationalMatrix, _submatrix_det, perfect_nth_root
+from .exactmat import RationalMatrix, _minor_levels, perfect_nth_root
 from .prng import SplitMix64, derive_seed
 from .totpos import (PositivityVerdict, evaluate_params,
                      is_totally_positive_unitriangular,
@@ -270,10 +269,14 @@ def theta_forward(u: RationalMatrix, uprime: RationalMatrix, t: TorusPoint) -> t
 
 
 def _target_vector(z, n: int) -> tuple:
-    """z as a tuple, checked to hold one target per wedge index 1..n-1."""
+    """z as a tuple, checked to hold one positive finite target per wedge
+    index 1..n-1."""
     z = tuple(z)
     if len(z) != n - 1:
         raise ValueError("target vector has wrong length")
+    # not math.isfinite: that overflows on a huge Fraction
+    if not all(0 < v < math.inf for v in z):
+        raise ValueError("targets must be positive and finite")
     return z
 
 
@@ -293,8 +296,6 @@ def theta_inverse_sl2(u: RationalMatrix, uprime: RationalMatrix, z) -> TorusPoin
     a = u.rows[1][0]
     aprime = uprime.rows[1][0]
     (A,) = _target_vector(z, 2)
-    if A <= 0:
-        raise ValueError("target must be positive")
     return _closed_form_point(((A + aprime) / a,))
 
 
@@ -308,8 +309,6 @@ def sl3_root_pair(u: RationalMatrix, uprime: RationalMatrix, z):
     a, b, c = u.rows[1][0], u.rows[2][1], u.rows[2][0]
     ap, bp, cp = uprime.rows[1][0], uprime.rows[2][1], uprime.rows[2][0]
     A, B = _target_vector(z, 3)
-    if A <= 0 or B <= 0:
-        raise ValueError("targets must be positive")
     exact = all(isinstance(x, Fraction) for x in (a, b, c, ap, bp, cp, A, B))
 
     lead = (a * b - c) * ap * b
@@ -417,7 +416,8 @@ class ZSystem:
 
     since conjugating by t scales the minor D_{I,S}(u) by t_I / t_S.  The
     z_j are the pairs whose last row is n, and R lies in the domain iff
-    every D_I(R) is positive.  Coefficients are summed exactly, then
+    every D_I(R) is positive.  The minors of u and u'^-1 come from one
+    :func:`_minor_levels` pass each; coefficients are summed exactly, then
     frozen as floats; the domain test returns the z values it read."""
 
     def __init__(self, u: RationalMatrix, uprime: RationalMatrix):
@@ -428,15 +428,16 @@ class ZSystem:
             raise ValueError("inputs must be unit lower triangular")
         self.n = n
         self.dim = n - 1
-        binv = uprime.inverse()
+        dens_u, minors_u = _minor_levels(u.rows, n - 1)
+        dens_b, minors_b = _minor_levels(uprime.inverse().rows, n - 1)
         self._corner_polys = []  # (frozen polynomial, is a z_j)
         self._dz_polys = []
         for rows, cols in relevant_minor_pairs(n, "lower"):
             poly = {}
-            for s in combinations(range(1, n + 1), len(cols)):
-                c = _submatrix_det(u.rows, rows, s)
+            k = len(cols)
+            for s, c in minors_u[k - 1][rows].items():
                 if c:
-                    c *= _submatrix_det(binv.rows, s, cols)
+                    c = Fraction(c * minors_b[k - 1][s][cols], dens_u[rows] * dens_b[s])
                     e = tuple(sum(i > m for i in rows) - sum(x > m for x in s)
                               for m in range(1, n))
                     poly[e] = poly.get(e, 0) + c
@@ -476,6 +477,23 @@ class ZSystem:
         """d z_j / d R_i."""
         return np.array([[self._eval(self._dz_polys[j][i], R)
                           for i in range(self.dim)] for j in range(self.dim)])
+
+    def noise_floors(self, R, z) -> list:
+        """Per z_j, a bound on the relative rounding error of its float
+        evaluation at R: gamma_k * sum|terms| / z_j with unit roundoff u,
+        gamma_k = k u / (1 - k u) and k = (number of terms) + 2 * dim.
+        Each term carries one rounding for its frozen coefficient and at
+        most two per coordinate (power, product); summing m terms adds
+        m - 1 (Higham, Accuracy and Stability of Numerical Algorithms,
+        2nd ed. 2002, sections 3.1 and 4.2).  sum|terms| is the frozen
+        polynomial evaluated with |coefficient|, as R > 0."""
+        u = sys.float_info.epsilon / 2
+        floors = []
+        for poly, zj in zip((p for p, is_z in self._corner_polys if is_z), z):
+            ku = (len(poly) + 2 * self.dim) * u
+            magnitude = self._eval(tuple((abs(c), e) for c, e in poly), R)
+            floors.append(ku / (1 - ku) * magnitude / zj)
+        return floors
 
     def membership(self, R, margin: float) -> Optional[tuple]:
         """z(R) as a tuple, bit for bit :meth:`z_values`, when every corner
@@ -517,7 +535,13 @@ def _newton_from(zsys: ZSystem, x: np.ndarray, z: tuple, log_target: np.ndarray,
     """Damped Newton on F(x) = log z(e^x) - log target from a start (x, z).
     Steps are halved until the domain test accepts the iterate, and the z
     it returns is the z the next step reads, so every z_j the solver sees
-    exceeds the margin.  Returns (x, z, iterations, converged)."""
+    exceeds the margin.  A start converges when max|F_j| meets the Newton
+    tolerance, or, at the iteration cap, when each |F_j| lies under the
+    larger of that tolerance and the rounding bound of z_j
+    (:meth:`ZSystem.noise_floors`), and each bound under the cluster
+    threshold: cancelling terms can keep F above an absolute tolerance at
+    the root, while near the domain boundary a bound can exceed 1.
+    Returns (x, z, iterations, converged)."""
     for it in range(1, config.max_iterations + 1):
         R = np.exp(x)
         f = np.log(z) - log_target
@@ -539,7 +563,11 @@ def _newton_from(zsys: ZSystem, x: np.ndarray, z: tuple, log_target: np.ndarray,
             else:
                 return x, z, it, False
         x, z = cand, z_cand
-    return x, z, config.max_iterations, False
+    f = np.log(z) - log_target
+    floors = zsys.noise_floors(np.exp(x), z)
+    return x, z, config.max_iterations, all(
+        abs(fj) <= max(config.newton_tolerance, floor) and floor <= config.cluster_threshold
+        for fj, floor in zip(f, floors))
 
 
 def _cluster(limits, threshold: float):
@@ -564,8 +592,6 @@ def theta_inverse_numeric(u: RationalMatrix, uprime: RationalMatrix, z,
     Raises :class:`NoConvergence` when no start meets the tolerance.
     """
     z = _target_vector(z, u.n)
-    if any(v <= 0 for v in z):
-        raise ValueError("targets must be strictly positive")
     zsys = _zsystem(u, uprime)
     target = np.array([float(v) for v in z])
     log_target = np.log(target)

@@ -194,6 +194,23 @@ def test_criterion_5_uniqueness_evidence_campaign_n4():
                   f"single-cluster={unique}, {elapsed:.1f}s (< 600s)")
 
 
+def test_criterion_5_uniqueness_evidence_campaign_n5():
+    """Criterion 5 at n = 5: 24 instances of the seed-1 campaign, 10 starts
+    each, converge with residual < 1e-8 and one limit cluster per solve.
+    No main start of items 5, 21 and 22 meets the absolute Newton
+    tolerance; they converge at the iteration cap, under the rounding
+    bound of z."""
+    start = time.monotonic()
+    campaign = verify_conjecture(5, 24, 1, SolverConfig(starts=10,
+                                                        residual_tolerance=1e-8))
+    elapsed = time.monotonic() - start
+    ok = (campaign.all_converged and campaign.all_unique_limits
+          and campaign.max_residual < 1e-8 and not campaign.counterexamples)
+    report(5, ok, f"n=5, 24 instances converged={campaign.all_converged}, "
+                  f"max residual {campaign.max_residual:.2e} (< 1e-8), "
+                  f"single-cluster={campaign.all_unique_limits}, {elapsed:.1f}s")
+
+
 def test_criterion_6_fibre_coordinates_round_trip():
     """100 constructed fibre elements per n in {2, 3}: coordinates
     recover the unit-upper factor exactly and the targets to 1e-10; the

@@ -199,10 +199,11 @@ class TestTheta:
         assert captured.err.startswith(
             "error: torus point outside the domain: minor rows {2} cols {1} = ")
 
-    @pytest.mark.parametrize("n,z", [(2, float("inf")), (3, 1e308)])
+    @pytest.mark.parametrize("n,z", [(2, 1.7e308), (3, 1e308)])
     def test_solve_closed_past_the_float_range_exits_three(self, tmp_path, capsys, n, z):
-        # the float closed form overflows: an arithmetic failure, not an input error
-        instance, _ = sample_instance(tmp_path, capsys, n=n, seed=1)
+        # the float closed form overflows (at n = 2, seed 7: R = (z + a')/a
+        # with a = 2/3): an arithmetic failure, not an input error
+        instance, _ = sample_instance(tmp_path, capsys, n=n, seed=7 if n == 2 else 1)
         instance["z"] = [z] * (n - 1)
         path = write_json(tmp_path / "huge_z.json", instance)
         code = main(["theta", "solve", "--instance", path, "--method", "closed"])
@@ -210,6 +211,18 @@ class TestTheta:
         assert code == 3
         assert captured.err.startswith(
             "error: OverflowError: closed-form solution is not a finite float: ")
+
+    @pytest.mark.parametrize("n,method", [(2, "closed"), (3, "closed"), (4, "numeric")])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_solve_non_finite_target_exits_two(self, tmp_path, capsys, n, method, value):
+        instance, _ = sample_instance(tmp_path, capsys, n=n, seed=5)
+        instance["z"] = [value] * (n - 1)
+        path = write_json(tmp_path / "non_finite_z.json", instance)
+        code = main(["theta", "solve", "--instance", path, "--method", method])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err == "input error: targets must be positive and finite\n"
 
     @pytest.mark.parametrize("n", [2, 3])
     @pytest.mark.parametrize("length", ["short", "long"])

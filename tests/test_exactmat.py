@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from tpflag import (DecompositionUnavailable, RationalMatrix, colex_subsets,
                     exterior_power, gauss_decompose, perfect_nth_root)
+from tpflag.exactmat import _minor_levels
 from tpflag.totpos import sample_g_positive
 
 from oracles import permutation_sum_det, permutation_sum_minor
@@ -288,6 +289,40 @@ class TestExteriorPower:
                     min_size=5, max_size=5), st.integers(1, 4))
     def test_entries_match_permutation_sum_on_rational_n5(self, entries, j):
         self.assert_matches_oracle(square(entries), j)
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+    def test_every_wedge_power_matches_permutation_sums(self, n):
+        # a totally positive g, a singular matrix with zero entries, and a
+        # matrix with zero and negative entries
+        g = sample_g_positive(n, seed=n)
+        rows = [[F((i * j + i + 1) % 5 - 2, j + 1) for j in range(n)] for i in range(n)]
+        rows[-1] = [a - 2 * b for a, b in zip(rows[0], rows[-2])]
+        mixed = [[F(0) if (i + j) % 3 == 0 else F((-1) ** (i * j) * (i + 2), j + 1)
+                  for j in range(n)] for i in range(n)]
+        for m in (g, square(rows), square(mixed)):
+            for j in range(1, n):
+                self.assert_matches_oracle(m, j)
+        assert square(rows).det() == 0
+
+    @settings(max_examples=20)
+    @given(st.one_of(square_lists(negative, 2, 5), singular_lists()))
+    def test_every_wedge_power_matches_permutation_sums_on_drawn_matrices(self, entries):
+        m = square(entries)
+        for j in range(1, m.n):
+            self.assert_matches_oracle(m, j)
+
+    @pytest.mark.parametrize("n", [1, 2, 4, 6])
+    def test_minor_levels_top_level_is_the_scaled_determinant(self, n):
+        rows = [[F((-1) ** (i + j) * (i + 3 * j + 1), 1 + (i + j) % 3) for j in range(n)]
+                for i in range(n)]
+        dens, levels = _minor_levels(rows, n)
+        full = tuple(range(1, n + 1))
+        assert [len(level) for level in levels] == [len(colex_subsets(n, k))
+                                                    for k in range(1, n + 1)]
+        assert all(type(minor) is int for level in levels for row in level.values()
+                   for minor in row.values())
+        assert levels[-1] == {full: {full: permutation_sum_det(rows) * dens[full]}}
+        assert _minor_levels(rows, 0) == ({(): 1}, [])
 
     @staticmethod
     def assert_matches_oracle(m, j):

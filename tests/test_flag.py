@@ -375,14 +375,20 @@ class TestOneClassificationPass:
 
     def test_three_views_run_one_pass(self, monkeypatch):
         g = sample_g_positive(4, seed=5)
-        counts = count_calls(monkeypatch, "eigen_flag", "is_g_positive", "exterior_power")
+        counts = count_calls(monkeypatch, "eigen_flag", "is_g_positive")
+        tops = []
+        levels = flag_module._minor_levels
+        monkeypatch.setattr(flag_module, "_minor_levels",
+                            lambda rows, top: tops.append(top) or levels(rows, top))
         for J in all_parabolic_sets(4):
             counts.update(dict.fromkeys(counts, 0))
+            tops.clear()
             zeta_j(g, J)
             perron_line_check(g, J)
             check_partition(g, J)
-            assert counts == {"eigen_flag": 1, "is_g_positive": 1,
-                              "exterior_power": 3 - len(J)}
+            assert counts == {"eigen_flag": 1, "is_g_positive": 1}
+            # one all-minors pass, up to the largest wedge index outside J
+            assert tops == [max((j for j in (1, 2, 3) if j not in J), default=0)]
 
     def test_new_J_tol_or_g_starts_a_new_pass(self, monkeypatch):
         g, other = sample_g_positive(4, seed=6), sample_g_positive(4, seed=7)

@@ -507,6 +507,38 @@ class TestNumericInverse:
         with pytest.raises(ValueError):
             theta_inverse_numeric(u, u, (F(1), F(1)))
 
+    @pytest.mark.parametrize("n,closed", [(2, theta_inverse_sl2), (3, theta_inverse_sl3)])
+    def test_small_targets_converge_while_the_rounding_bound_is_informative(self, n,
+                                                                           closed):
+        # a small z_j is a sum of O(1) terms that cancel.  At 1e-6 its rounding
+        # bound lies between the absolute Newton tolerance and the cluster
+        # threshold: every start converges at the cap, on the closed form
+        u, uprime = lower_cell_point(n, seed=1), lower_cell_point(n, seed=2)
+        z = (F(1, 10 ** 6),) * (n - 1)
+        report = theta_inverse_numeric(u, uprime, z)
+        assert all(report.converged) and report.distinct_limits == 1
+        assert set(report.iterations) == {SolverConfig().max_iterations}
+        exact = closed(u, uprime, z)
+        assert all(abs(math.log(float(a) / float(b))) <= 1e-12
+                   for a, b in zip(report.solution.coords, exact.coords))
+        # at 1e-12 the bound (about 1e-3) exceeds the cluster threshold
+        with pytest.raises(NoConvergence):
+            theta_inverse_numeric(u, uprime, (F(1, 10 ** 12),) * (n - 1))
+
+    @pytest.mark.parametrize("value", [F(0), F(-1), -0.5, math.nan, math.inf])
+    @pytest.mark.parametrize("n,solve", [(2, theta_inverse_sl2), (3, theta_inverse_sl3),
+                                         (4, theta_inverse_numeric)])
+    def test_targets_must_be_positive_and_finite(self, n, solve, value):
+        u = lower_cell_point(n, seed=1)
+        with pytest.raises(ValueError, match="targets must be positive and finite"):
+            solve(u, u, (F(1),) * (n - 2) + (value,))
+
+    def test_huge_rational_target_is_accepted(self):
+        # no float conversion: math.isfinite would overflow here
+        u = lower_cell_point(2, seed=1)
+        z = F(10) ** 400
+        assert theta_inverse_sl2(u, u, (z,)).coords == ((z + u.rows[1][0]) / u.rows[1][0],)
+
     def test_deterministic_given_seed(self):
         u = lower_cell_point(4, seed=21)
         uprime = lower_cell_point(4, seed=22)
@@ -620,6 +652,23 @@ class TestZSystem:
                     accepted += 1
         assert accepted
 
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    def test_noise_floors_bound_the_rounding_error_of_z(self, n):
+        # |z_j(R) - exact z_j(R)| <= floor_j * z_j(R) at the float point R,
+        # with the exact value from the conjugated product at R's rationals
+        checked = 0
+        for u, uprime, coords in kernel_cases(n, count=16):
+            zsys = ZSystem(u, uprime)
+            R = [float(c) for c in coords]
+            m, _ = _domain_point(u, uprime.inverse(), TorusPoint(tuple(F(r) for r in R)))
+            z = zsys.z_values(R)
+            for j, (value, floor) in enumerate(zip(z, zsys.noise_floors(R, z)), 1):
+                if value > 0:
+                    assert 0 < floor < math.inf
+                    assert abs(F(value) - z_function(m, j)) <= F(floor) * F(value)
+                    checked += 1
+        assert checked
+
     @pytest.mark.parametrize("R", [
         (math.inf, 1.0, 1.0), (1.0, math.inf, 2.0), (math.inf,) * 3,
         (0.0, 1.0, 1.0), (2.0, 2.0, 0.0), (1e-320, 1.0, 1.0),
@@ -630,6 +679,15 @@ class TestZSystem:
             warnings.simplefilter("error")
             for point in (R, np.array(R)):
                 assert zsys.membership(point, 1e-14) is None
+
+
+def assert_passes_the_benchmark_check(instance_seed):
+    """The campaign benchmark's check of one n = 4 instance: converged,
+    one limit cluster per solve, round trip within the cluster threshold."""
+    record = verify_conjecture(4, 1, instance_seed).records[0]
+    assert record.converged
+    assert record.distinct_limits == record.aux_distinct_limits == 1
+    assert record.roundtrip_err <= SolverConfig().cluster_threshold
 
 
 class TestCampaign:
@@ -656,11 +714,18 @@ class TestCampaign:
         verify_conjecture(4, 3, seed=12)
         assert len(built) == len(set(built)) == 3
 
-    @pytest.mark.xfail(strict=True, reason="all ten main starts stall at |F| ~ 1e-12, "
-                                           "the Newton tolerance: the evaluation noise floor")
     def test_known_noise_floor_instance_converges(self):
-        # item 6 of the benchmark campaign at seed 9: derive_seed(9, 6)
-        assert verify_conjecture(4, 1, 11913068463950444748).records[0].converged
+        # item 6 of the benchmark campaign at seed 9: derive_seed(9, 6).  All
+        # ten main starts reach the iteration cap with |F_j| above the Newton
+        # tolerance but under the rounding bound of z_j
+        assert_passes_the_benchmark_check(11913068463950444748)
+
+    @pytest.mark.parametrize("instance_seed", [
+        5960647015370826922,   # benchmark campaign seed 3, item 1173
+        13422768891423035533,  # benchmark campaign seed 14, item 816
+    ])
+    def test_more_noise_floor_instances_converge(self, instance_seed):
+        assert_passes_the_benchmark_check(instance_seed)
 
     def test_campaign_is_deterministic(self):
         a = verify_conjecture(3, 4, seed=8, config=SolverConfig(starts=5))
